@@ -5,7 +5,7 @@
 //! ```text
 //! reproduce [--smoke] [--store DIR] [--warm] [--verify] [--only LIST] [--list]
 //!           [--verbose] [--profile OUT.json] [--sim-workers N]
-//!           [--cache-mode exact|analytic|auto]
+//!           [--cache-mode exact|analytic]
 //!
 //!   --smoke       tiny problem sizes (Dataset::Mini, CloudscSizes::mini());
 //!                 the CI configuration, finishes in seconds
@@ -19,10 +19,8 @@
 //!                 `exact` simulates every trace-backed column; `analytic`
 //!                 replaces them with the bounded-error estimator (orders
 //!                 of magnitude faster, error bound reported by the
-//!                 machine crate); `auto` prices searches analytically but
-//!                 keeps every reported figure exact. Schedule choices are
-//!                 identical in all three modes (daisy ranks by the
-//!                 roofline model)
+//!                 machine crate). Schedule choices are identical in both
+//!                 modes (daisy ranks by the roofline model)
 //!   --verbose     print the per-phase wall clock (normalize / seed /
 //!                 search / cost) of every schedule the figures run
 //!   --profile F   record a telemetry profile of the whole run — spans,
@@ -54,7 +52,7 @@ use machine::CostMode;
 use bench::figures::{
     fig11_cloudsc_full, fig12_cloudsc_scaling, fig1_gemm_variants, fig6_autoschedulers,
     fig7_ablation, fig9_python_frameworks, table1_cloudsc_erosion, verify_cold_warm,
-    verify_scheduler_against_store, ReproContext, ReproOptions, ScalingMode,
+    verify_scheduler_against_store, ReproContext, ReproOptions,
 };
 
 /// The reproduction targets, in paper order.
@@ -90,9 +88,9 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--cache-mode" => {
                 let mode = args
                     .next()
-                    .ok_or("--cache-mode needs a mode (exact, analytic or auto)")?;
+                    .ok_or("--cache-mode needs a mode (exact or analytic)")?;
                 options.cache_mode = CostMode::parse(&mode).ok_or_else(|| {
-                    format!("--cache-mode needs one of exact, analytic or auto, got {mode:?}")
+                    format!("--cache-mode needs one of exact or analytic, got {mode:?}")
                 })?;
             }
             "--sim-workers" => {
@@ -199,7 +197,7 @@ fn run_figures(args: &Args) -> ExitCode {
             "fig7" => fig7_ablation(&mut ctx),
             "fig9" => fig9_python_frameworks(&mut ctx),
             "fig11" => fig11_cloudsc_full(&ctx),
-            "fig12" => fig12_cloudsc_scaling(&ctx, ScalingMode::Both),
+            "fig12" => fig12_cloudsc_scaling(&ctx),
             _ => unreachable!("FIGURES and the dispatch table are in sync"),
         }
     }

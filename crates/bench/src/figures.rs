@@ -1,5 +1,5 @@
-//! The figure/table harnesses as library functions, shared between the
-//! per-figure binaries and the unified `reproduce` driver.
+//! The figure/table harnesses as library functions, dispatched by the
+//! `reproduce` driver (`reproduce --only <figure>` runs one of them).
 //!
 //! Every function regenerates one figure or table of the paper. The ones
 //! that need a transfer-tuning database pull their scheduler from a
@@ -87,11 +87,10 @@ pub struct ReproOptions {
     /// parallelism. Sharded counters are bit-identical at any value, so
     /// this only changes wall clock, never figures.
     pub sim_workers: usize,
-    /// Which cache-costing tier backs the run (`--cache-mode`): the exact
-    /// simulator, the bounded-error analytic estimator, or `Auto` (analytic
-    /// while searching, exact for every reported figure). Schedule choices
-    /// are identical in all three — daisy ranks by the roofline model — so
-    /// the knob only changes how trace-backed columns are produced.
+    /// Which cache-costing tier produces the trace-backed columns
+    /// (`--cache-mode`): the exact simulator or the bounded-error analytic
+    /// estimator. Schedules never depend on it — daisy ranks by the
+    /// roofline model.
     pub cache_mode: CostMode,
 }
 
@@ -187,20 +186,12 @@ impl ReproContext {
         &self.schedulers[&kind]
     }
 
-    /// The scheduler configuration for a kind under this run's options:
-    /// the kind's config with the run's cache-costing tier applied. The
-    /// tier is excluded from the store fingerprint (it cannot change
-    /// schedules), so stores stay interchangeable across modes.
-    fn config_for(&self, kind: SchedulerKind) -> daisy::DaisyConfig {
-        kind.config().with_cache_mode(self.options.cache_mode)
-    }
-
     fn build(&self, kind: SchedulerKind) -> (DaisyScheduler, SeedingEvent) {
         let store = self.store_path(kind);
         if self.options.warm {
             if let Some(path) = &store {
                 let start = Instant::now();
-                let mut scheduler = DaisyScheduler::new(self.config_for(kind));
+                let mut scheduler = DaisyScheduler::new(kind.config());
                 match scheduler.warm_start(path) {
                     Ok(entries) => {
                         let event = SeedingEvent {
@@ -220,7 +211,7 @@ impl ReproContext {
             }
         }
         let start = Instant::now();
-        let scheduler = daisy_seeded_from_a_variants(self.dataset(), self.config_for(kind));
+        let scheduler = daisy_seeded_from_a_variants(self.dataset(), kind.config());
         let seconds = start.elapsed().as_secs_f64();
         if let Some(path) = &store {
             if let Err(e) = scheduler.persist(path) {
@@ -551,7 +542,7 @@ pub fn fig9_python_frameworks(ctx: &mut ReproContext) {
 
 /// The daisy CLOUDSC version: the DaCe structure normalized and
 /// producer-consumer fused (§5.1) — the single definition shared by the
-/// figure harnesses and the bench snapshots.
+/// figure harnesses and the paper-size gates.
 pub fn daisy_full_model(sizes: CloudscSizes) -> Program {
     let dace = full_model(CloudscVariant::Dace, sizes);
     let normalized = Normalizer::new().run(&dace).expect("normalizes").program;
@@ -601,10 +592,11 @@ pub fn fig11_cloudsc_full(ctx: &ReproContext) {
         &["version", "seconds", "normalized", "GFLOP/s"],
         &rows,
     );
-    let daisy_seconds = reports[3].1.seconds;
+    let gain = 100.0 * (baseline - reports[3].1.seconds) / baseline;
     println!(
-        "\ndaisy vs hand-tuned Fortran: {:.1}% faster",
-        100.0 * (baseline - daisy_seconds) / baseline
+        "\ndaisy vs hand-tuned Fortran: {:.1}% {}",
+        gain.abs(),
+        if gain < 0.0 { "slower" } else { "faster" }
     );
     let peak = sequential.machine().peak_flops_per_core() / 1e9;
     println!(
@@ -691,9 +683,8 @@ struct TraceStats {
 
 /// Produces one figure workload's trace-backed counters through
 /// [`CostModel::assess_cache`] at the run's `--cache-mode`. Under the
-/// exact tier (and `Auto` — reported figures are final validation) this
-/// streams the access trace through the sharded cache driver, whose
-/// counters are bit-identical at any `sim_workers` value. Under
+/// exact tier this streams the access trace through the sharded cache
+/// driver, whose counters are bit-identical at any `sim_workers` value. Under
 /// `--cache-mode analytic` the counters come from the bounded-error
 /// estimator instead and `shards` is 0 (nothing is simulated).
 fn simulate_trace(
@@ -708,7 +699,7 @@ fn simulate_trace(
         .with_simulation_parallelism(sim_workers);
     let start = Instant::now();
     let assessment = model
-        .assess_cache(program, true)
+        .assess_cache(program)
         .unwrap_or_else(|e| panic!("{name}: trace fails: {e}"));
     let shards = match &assessment {
         CacheAssessment::Exact(stats) => stats.shards(),
@@ -740,111 +731,96 @@ fn print_trace_sharding(label: &str, sizes: CloudscSizes, shards: usize, sim_wor
 // Figure 12
 // --------------------------------------------------------------------------
 
-/// Which half of Figure 12 to produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScalingMode {
-    /// Fixed workload, 1-12 threads (Fig. 12a).
-    Strong,
-    /// Workload grows with the thread count (Fig. 12b).
-    Weak,
-    /// Both halves.
-    Both,
-}
-
 /// Figure 12: strong scaling (fixed workload, 1-12 threads) and weak
 /// scaling (workload grows with the thread count) of the CLOUDSC proxy for
 /// the Fortran, C, DaCe and daisy versions.
-pub fn fig12_cloudsc_scaling(ctx: &ReproContext, mode: ScalingMode) {
-    if matches!(mode, ScalingMode::Strong | ScalingMode::Both) {
-        let programs = cloudsc_versions(ctx.sizes());
-        let mut rows = Vec::new();
-        for threads in [1usize, 2, 4, 6, 8, 10, 12] {
-            let model = paper_machine_model(threads);
-            let times: Vec<f64> = programs
-                .iter()
-                .map(|(_, p)| model.estimate(p).seconds)
-                .collect();
-            let gain = 100.0 * (times[0] - times[3]) / times[0];
-            rows.push(vec![
-                threads.to_string(),
-                format!("{:.3}", times[0]),
-                format!("{:.3}", times[1]),
-                format!("{:.3}", times[2]),
-                format!("{:.3}", times[3]),
-                format!("{gain:.2}%"),
-            ]);
-        }
-        print_table(
-            "Figure 12a: strong scaling (seconds per run)",
-            &[
-                "threads",
-                "Fortran",
-                "C",
-                "DaCe",
-                "daisy",
-                "daisy vs Fortran",
-            ],
-            &rows,
-        );
+pub fn fig12_cloudsc_scaling(ctx: &ReproContext) {
+    let programs = cloudsc_versions(ctx.sizes());
+    let mut rows = Vec::new();
+    for threads in [1usize, 2, 4, 6, 8, 10, 12] {
+        let model = paper_machine_model(threads);
+        let times: Vec<f64> = programs
+            .iter()
+            .map(|(_, p)| model.estimate(p).seconds)
+            .collect();
+        let gain = 100.0 * (times[0] - times[3]) / times[0];
+        rows.push(vec![
+            threads.to_string(),
+            format!("{:.3}", times[0]),
+            format!("{:.3}", times[1]),
+            format!("{:.3}", times[2]),
+            format!("{:.3}", times[3]),
+            format!("{gain:.2}%"),
+        ]);
     }
-    if matches!(mode, ScalingMode::Weak | ScalingMode::Both) {
-        // The weak-scaling workload list; a smoke run shrinks the column
-        // counts 64x so the whole figure stays CI-sized.
-        let scale = if ctx.options().smoke { 64 } else { 1 };
-        let mut rows = Vec::new();
-        for (columns, threads) in [(65536i64, 1usize), (131072, 2), (262144, 4), (524288, 8)] {
-            let sizes = CloudscSizes::with_columns(columns / scale);
-            let programs = cloudsc_versions(sizes);
-            let model = paper_machine_model(threads);
-            let times: Vec<f64> = programs
-                .iter()
-                .map(|(_, p)| model.estimate(p).seconds)
-                .collect();
-            let gain = 100.0 * (times[0] - times[3]) / times[0];
-            rows.push(vec![
-                format!("{} / {threads}", columns / scale),
-                format!("{:.3}", times[0]),
-                format!("{:.3}", times[1]),
-                format!("{:.3}", times[2]),
-                format!("{:.3}", times[3]),
-                format!("{gain:.2}%"),
-            ]);
-        }
-        print_table(
-            "Figure 12b: weak scaling (seconds per run)",
-            &[
-                "columns/threads",
-                "Fortran",
-                "C",
-                "DaCe",
-                "daisy",
-                "daisy vs Fortran",
-            ],
-            &rows,
-        );
-        // The weak-scaling points only grow the block count and blocks are
-        // independent, so one sharded simulation at the full schedule-point
-        // block count stands for every row's exact per-block access stream.
-        let trace_sizes = trace_block_sizes(ctx);
-        let sim_workers = ctx.options().sim_workers;
-        let machine = MachineConfig::xeon_e5_2680v3();
-        let trace = simulate_trace(
+    print_table(
+        "Figure 12a: strong scaling (seconds per run)",
+        &[
+            "threads",
+            "Fortran",
+            "C",
+            "DaCe",
             "daisy",
-            &daisy_full_model(trace_sizes),
-            &machine,
-            sim_workers,
-            ctx.options().cache_mode,
-        );
-        println!(
-            "\ndaisy trace per schedule point (NBLOCKS={}): {} accesses simulated in {:.1} ms ({:.0} Macc/s), L1 hit rate {:.1}%",
-            trace_sizes.nblocks,
-            trace.accesses,
-            trace.seconds * 1e3,
-            trace.accesses as f64 / trace.seconds / 1e6,
-            100.0 * trace.l1_hit_rate
-        );
-        print_trace_sharding("trace sharding", trace_sizes, trace.shards, sim_workers);
+            "daisy vs Fortran",
+        ],
+        &rows,
+    );
+    // The weak-scaling workload list; a smoke run shrinks the column
+    // counts 64x so the whole figure stays CI-sized.
+    let scale = if ctx.options().smoke { 64 } else { 1 };
+    let mut rows = Vec::new();
+    for (columns, threads) in [(65536i64, 1usize), (131072, 2), (262144, 4), (524288, 8)] {
+        let sizes = CloudscSizes::with_columns(columns / scale);
+        let programs = cloudsc_versions(sizes);
+        let model = paper_machine_model(threads);
+        let times: Vec<f64> = programs
+            .iter()
+            .map(|(_, p)| model.estimate(p).seconds)
+            .collect();
+        let gain = 100.0 * (times[0] - times[3]) / times[0];
+        rows.push(vec![
+            format!("{} / {threads}", columns / scale),
+            format!("{:.3}", times[0]),
+            format!("{:.3}", times[1]),
+            format!("{:.3}", times[2]),
+            format!("{:.3}", times[3]),
+            format!("{gain:.2}%"),
+        ]);
     }
+    print_table(
+        "Figure 12b: weak scaling (seconds per run)",
+        &[
+            "columns/threads",
+            "Fortran",
+            "C",
+            "DaCe",
+            "daisy",
+            "daisy vs Fortran",
+        ],
+        &rows,
+    );
+    // The weak-scaling points only grow the block count and blocks are
+    // independent, so one sharded simulation at the full schedule-point
+    // block count stands for every row's exact per-block access stream.
+    let trace_sizes = trace_block_sizes(ctx);
+    let sim_workers = ctx.options().sim_workers;
+    let machine = MachineConfig::xeon_e5_2680v3();
+    let trace = simulate_trace(
+        "daisy",
+        &daisy_full_model(trace_sizes),
+        &machine,
+        sim_workers,
+        ctx.options().cache_mode,
+    );
+    println!(
+        "\ndaisy trace per schedule point (NBLOCKS={}): {} accesses simulated in {:.1} ms ({:.0} Macc/s), L1 hit rate {:.1}%",
+        trace_sizes.nblocks,
+        trace.accesses,
+        trace.seconds * 1e3,
+        trace.accesses as f64 / trace.seconds / 1e6,
+        100.0 * trace.l1_hit_rate
+    );
+    print_trace_sharding("trace sharding", trace_sizes, trace.shards, sim_workers);
 }
 
 // --------------------------------------------------------------------------
@@ -887,13 +863,13 @@ pub fn table1_cloudsc_erosion(ctx: &ReproContext) {
     // monolithic simulation at any worker count.
     let sim_workers = ctx.options().sim_workers;
     // `(l1_loads, l1_evicts, accesses)` per nest — exactly simulated under
-    // the exact tier and `Auto` (table rows are final validation), estimated
-    // with bounded error under `--cache-mode analytic`.
+    // the exact tier, estimated with bounded error under
+    // `--cache-mode analytic`.
     let cache_model = CostModel::new(machine.clone(), 1)
         .with_cost_mode(ctx.options().cache_mode)
         .with_simulation_parallelism(sim_workers);
     let cache = |p: &Program| -> (u64, u64, u64) {
-        let a = cache_model.assess_cache(p, true).expect("trace runs");
+        let a = cache_model.assess_cache(p).expect("trace runs");
         (a.l1().loads, a.l1().evicts, a.accesses())
     };
     let orig_cache = cache(&original_single);
@@ -994,8 +970,8 @@ pub fn verify_cold_warm(
 }
 
 /// Like [`verify_cold_warm`], but against an already cold-seeded scheduler
-/// — for callers (such as `bench_pr3`) that just paid for seeding and must
-/// not pay again.
+/// — for callers (such as a cold `reproduce --verify` run) that just paid
+/// for seeding and must not pay again.
 ///
 /// # Errors
 /// A message when the store directory is missing from the options or the
@@ -1076,28 +1052,38 @@ mod tests {
         assert!(none.store_path(SchedulerKind::Full).is_none());
     }
 
+    /// The cold/warm equivalence guarantee at smoke size for every
+    /// scheduler configuration: the warm-started database is identical and
+    /// every `ScheduleOutcome` on the Table 1 CLOUDSC workloads and all
+    /// PolyBench A/B variants is bit-identical to the cold one.
     #[test]
     fn cold_run_persists_and_warm_run_loads_identical_database() {
         let dir = std::env::temp_dir().join(format!("bench-figures-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
 
         let mut cold = ReproContext::new(smoke_options(Some(dir.clone()), false));
-        let cold_entries: Vec<_> = cold
-            .scheduler(SchedulerKind::Full)
-            .database()
-            .entries()
-            .to_vec();
-        assert!(cold.store_path(SchedulerKind::Full).unwrap().exists());
-
         let mut warm = ReproContext::new(smoke_options(Some(dir.clone()), true));
-        let warm_db = warm.scheduler(SchedulerKind::Full).database().entries();
-        assert_eq!(warm_db, cold_entries.as_slice());
-        assert_eq!(warm.events()[0].mode, "warm");
+        for kind in SchedulerKind::ALL {
+            let cold_entries: Vec<_> = cold.scheduler(kind).database().entries().to_vec();
+            assert!(cold.store_path(kind).unwrap().exists());
 
-        let report = verify_cold_warm(&smoke_options(Some(dir.clone()), true), SchedulerKind::Full)
-            .expect("store exists");
-        assert!(report.identical, "cold/warm equivalence must hold");
-        assert_eq!(report.outcomes_checked, report.outcomes_identical);
+            let warm_db = warm.scheduler(kind).database().entries();
+            assert_eq!(warm_db, cold_entries.as_slice());
+            assert_eq!(warm.events().last().unwrap().mode, "warm");
+
+            let report = verify_cold_warm(&smoke_options(Some(dir.clone()), true), kind)
+                .expect("store exists");
+            assert!(
+                report.identical,
+                "{}: cold/warm equivalence must hold",
+                kind.stem()
+            );
+            assert_eq!(report.outcomes_checked, report.outcomes_identical);
+            assert_eq!(
+                report.outcomes_checked,
+                equivalence_workloads(Dataset::Mini, CloudscSizes::mini()).len()
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

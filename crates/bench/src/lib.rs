@@ -1,16 +1,19 @@
-//! Shared harness utilities for the figure/table binaries.
+//! Shared harness utilities for the `reproduce` driver.
 //!
-//! Every binary in `src/bin/` regenerates one figure or table of the paper
-//! (see DESIGN.md for the index) by building the corresponding workloads from
-//! the `polybench` crate, scheduling them with daisy and the baselines, and
-//! printing the same rows/series the paper reports. Absolute numbers come
-//! from the analytical machine model, so only the *shape* (ratios, ordering,
-//! crossovers) is comparable with the paper.
+//! Every function in [`figures`] regenerates one figure or table of the
+//! paper (`reproduce --list` prints the index) by building the
+//! corresponding workloads from the `polybench` crate, scheduling them with
+//! daisy and the baselines, and printing the same rows/series the paper
+//! reports. Absolute numbers come from the analytical machine model, so
+//! only the *shape* (ratios, ordering, crossovers) is comparable with the
+//! paper. [`workloads`] holds the named cache workloads the simulator's
+//! differential suites and paper-size gates share.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod figures;
+pub mod workloads;
 
 use daisy::{DaisyConfig, DaisyScheduler};
 use loop_ir::program::Program;

@@ -111,7 +111,7 @@ fn sim_workers_is_respected_in_smoke_runs() {
 fn cache_mode_is_accepted_and_reported_in_smoke_runs() {
     // Every valid spelling runs and announces itself on stdout; the
     // analytic tier produces the same table shape with estimated counters.
-    for mode in ["exact", "analytic", "auto"] {
+    for mode in ["exact", "analytic"] {
         let output = reproduce(&["--smoke", "--only", "table1", "--cache-mode", mode]);
         let stdout = String::from_utf8_lossy(&output.stdout);
         let stderr = String::from_utf8_lossy(&output.stderr);
@@ -127,6 +127,55 @@ fn cache_mode_is_accepted_and_reported_in_smoke_runs() {
         assert!(
             stdout.contains("L1 Loads (single iteration)"),
             "mode {mode}: Table 1 keeps its trace-backed rows: {stdout}"
+        );
+    }
+    // `auto`, the retired split tier, is a usage error whose diagnostic
+    // names the valid modes.
+    let output = reproduce(&["--cache-mode", "auto"]);
+    assert_eq!(output.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&output.stderr).trim_end(),
+        r#"reproduce: --cache-mode needs one of exact or analytic, got "auto""#
+    );
+}
+
+#[test]
+fn fig12_prints_both_the_strong_and_the_weak_scaling_table() {
+    let output = reproduce(&["--smoke", "--only", "fig12"]);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    for table in [
+        "=== Figure 12a: strong scaling (seconds per run) ===",
+        "=== Figure 12b: weak scaling (seconds per run) ===",
+    ] {
+        assert!(stdout.contains(table), "missing {table:?}: {stdout}");
+    }
+}
+
+#[test]
+fn smoke_run_never_reports_a_negative_speedup_as_faster() {
+    let output = reproduce(&["--smoke"]);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    let summary = stdout
+        .lines()
+        .find(|line| line.starts_with("daisy vs hand-tuned Fortran: "))
+        .unwrap_or_else(|| panic!("fig11 prints its summary line: {stdout}"));
+    assert!(
+        summary.ends_with("% faster") || summary.ends_with("% slower"),
+        "{summary}"
+    );
+    for line in stdout.lines().filter(|line| line.ends_with("% faster")) {
+        let value = line
+            .rsplit(' ')
+            .nth(1)
+            .and_then(|word| word.strip_suffix('%'))
+            .unwrap_or_default();
+        assert!(
+            !value.starts_with('-'),
+            "a negative gain must read as slower: {line}"
         );
     }
 }

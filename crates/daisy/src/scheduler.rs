@@ -8,7 +8,7 @@ use std::sync::Arc;
 use loop_ir::expr::Var;
 use loop_ir::nest::Node;
 use loop_ir::program::Program;
-use machine::{CostMode, CostModel, CostReport, MachineConfig, PricedWith};
+use machine::{CostModel, CostReport, MachineConfig};
 use normalize::{Normalizer, NormalizerConfig};
 use transforms::{perfect_chain, Recipe};
 use tunestore::{DurableStore, OsStorage, Snapshot, Storage, StoreError, StoreHealth};
@@ -56,15 +56,6 @@ pub struct DaisyConfig {
     /// results — sharded [`machine::CacheStats`] counters are bit-identical
     /// at any worker count — so it is *not* part of the store fingerprint.
     pub simulation_parallelism: usize,
-    /// Which cache tier [`machine::CostModel::assess_cache`] answers from
-    /// when pricing cache behaviour ([`CostMode::Exact`], the analytic
-    /// closed-form tier, or [`CostMode::Auto`] — analytic during search,
-    /// exact for the final winner). Candidate *ranking* is roofline-only
-    /// (the evolutionary search never consults the cache tier), so this
-    /// knob cannot change the chosen schedule and is *not* part of the
-    /// store fingerprint; [`ScheduleOutcome::priced_with`] records which
-    /// tier prices the winner.
-    pub cache_mode: CostMode,
 }
 
 impl Default for DaisyConfig {
@@ -78,7 +69,6 @@ impl Default for DaisyConfig {
             neighbors: 3,
             parallelism: 0,
             simulation_parallelism: 0,
-            cache_mode: CostMode::Exact,
         }
     }
 }
@@ -94,12 +84,6 @@ impl DaisyConfig {
     /// parallelism.
     pub fn with_simulation_parallelism(mut self, workers: usize) -> Self {
         self.simulation_parallelism = workers;
-        self
-    }
-
-    /// Returns this configuration with the given cache-pricing mode.
-    pub fn with_cache_mode(mut self, mode: CostMode) -> Self {
-        self.cache_mode = mode;
         self
     }
 }
@@ -120,14 +104,6 @@ pub struct ScheduleOutcome {
     pub report: CostReport,
     /// One human-readable note per top-level nest describing what was done.
     pub decisions: Vec<String>,
-    /// Which cache tier prices this winner under the scheduler's
-    /// [`DaisyConfig::cache_mode`]: `Exact` for `Exact` and `Auto` (Auto
-    /// validates the final winner exactly), `Analytic` only when the
-    /// scheduler is pinned to the analytic tier. Provenance metadata — like
-    /// [`phase_timings`](ScheduleOutcome::phase_timings) it is excluded
-    /// from `PartialEq`, so outcomes from different cache modes (which are
-    /// bit-identical in program, report and decisions) still compare equal.
-    pub priced_with: PricedWith,
     /// Where the `schedule()` call itself spent its time. Observational
     /// only — never part of the bit-identity guarantee.
     pub phase_timings: PhaseTimings,
@@ -136,8 +112,7 @@ pub struct ScheduleOutcome {
 impl PartialEq for ScheduleOutcome {
     fn eq(&self, other: &Self) -> bool {
         // phase_timings is deliberately not compared: wall clock varies
-        // between bit-identical runs. priced_with is provenance (which
-        // cache tier prices the winner), not part of the result.
+        // between bit-identical runs.
         self.program == other.program
             && self.report == other.report
             && self.decisions == other.decisions
@@ -281,8 +256,7 @@ impl DaisyScheduler {
     fn seed_entries(&self, programs: &[Program]) -> Vec<DatabaseEntry> {
         let _span = telemetry::span("seeding");
         let model = CostModel::new(self.config.machine.clone(), self.config.threads)
-            .with_simulation_parallelism(self.config.simulation_parallelism)
-            .with_cost_mode(self.config.cache_mode);
+            .with_simulation_parallelism(self.config.simulation_parallelism);
         let normalized: Vec<Program> = programs.iter().map(|p| self.normalized(p)).collect();
         let mut jobs: Vec<(&Program, usize)> = Vec::new();
         for program in &normalized {
@@ -334,9 +308,8 @@ impl DaisyScheduler {
     /// exchange stores exactly when their fingerprints are equal — stored
     /// costs decide duplicate-key ranking, and costs from a different cost
     /// model are not comparable. Knobs that cannot change stored costs —
-    /// `parallelism`, `simulation_parallelism` and `cache_mode` (ranking is
-    /// roofline-only; the cache tier never decides a schedule) — are
-    /// deliberately excluded so stores stay exchangeable across them.
+    /// `parallelism` and `simulation_parallelism` — are deliberately
+    /// excluded so stores stay exchangeable across them.
     pub fn store_fingerprint(&self) -> String {
         // Every machine parameter is encoded explicitly through the store
         // codec (not via Debug formatting, whose output is not a stability
@@ -540,8 +513,7 @@ impl DaisyScheduler {
     pub fn schedule(&self, program: &Program) -> ScheduleOutcome {
         let _span = telemetry::span("schedule");
         let model = CostModel::new(self.config.machine.clone(), self.config.threads)
-            .with_simulation_parallelism(self.config.simulation_parallelism)
-            .with_cost_mode(self.config.cache_mode);
+            .with_simulation_parallelism(self.config.simulation_parallelism);
         let (normalized, normalize_ns) = telemetry::timed("normalize", || self.normalized(program));
         // Whole-program baseline, priced once: candidates must beat it, and
         // pricing it here also pre-populates the shared per-nest memo so the
@@ -601,11 +573,6 @@ impl DaisyScheduler {
             program: current,
             report,
             decisions,
-            priced_with: if self.config.cache_mode.uses_exact(true) {
-                PricedWith::Exact
-            } else {
-                PricedWith::Analytic
-            },
             phase_timings: PhaseTimings {
                 normalize_ns,
                 seed_ns,
@@ -1016,23 +983,28 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Satellite of PR 4: `ScheduleOutcome`s must not depend on the
-    /// scheduler's own parallelism. Multi-nest CLOUDSC (the normalizer
-    /// splits the proxy into several independent top-level nests) is
-    /// scheduled at parallelism 1, 4 and 12, cold and warm-started, and
-    /// every outcome must be bit-identical — same optimized program, same
-    /// cost report, same decision log.
+    /// `ScheduleOutcome`s must not depend on the scheduler's own
+    /// parallelism. Multi-nest CLOUDSC (the normalizer splits the proxy
+    /// into several independent top-level nests) is scheduled at
+    /// parallelism 1, 4 and 12, cold and warm-started, against the
+    /// database the figures use (seeded from every PolyBench A variant),
+    /// and every outcome must be bit-identical — same optimized program,
+    /// same cost report, same decision log.
     #[test]
     fn schedule_outcomes_are_bit_identical_at_any_parallelism() {
         use polybench::cloudsc::{full_model, CloudscSizes, CloudscVariant};
+        use polybench::{all_benchmarks, Dataset};
 
         let dir = std::env::temp_dir().join(format!("daisy-par-{}", std::process::id()));
         let path = dir.join("par.tunedb");
         let base = DaisyConfig::default();
-        let a = gemm_a(128);
+        let a_variants: Vec<Program> = all_benchmarks()
+            .iter()
+            .map(|b| (b.a)(Dataset::Mini))
+            .collect();
 
         let mut cold = DaisyScheduler::new(base.clone());
-        cold.seed_from_programs(std::slice::from_ref(&a));
+        cold.seed_from_programs(&a_variants);
         cold.persist(&path).unwrap();
 
         let workloads: Vec<Program> = [
@@ -1076,7 +1048,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Satellite of PR 9: like scheduler parallelism, the cache-simulation
+    /// Like scheduler parallelism, the cache-simulation
     /// worker count never changes results, so it is excluded from the store
     /// fingerprint (stores stay exchangeable across the knob) and outcomes
     /// stay bit-identical at any value.
@@ -1098,39 +1070,6 @@ mod tests {
                 baseline,
                 "simulation parallelism {workers} changed the outcome"
             );
-        }
-    }
-
-    /// Satellite of PR 10: candidate ranking is roofline-only, so the cache
-    /// pricing mode can never change the chosen schedule. It is therefore
-    /// excluded from the store fingerprint (stores stay exchangeable across
-    /// the knob); only the outcome's `priced_with` provenance differs.
-    #[test]
-    fn cache_mode_leaves_fingerprint_and_chosen_schedule_unchanged() {
-        let base = DaisyScheduler::new(DaisyConfig::default());
-        let program = gemm_a(64);
-        let baseline = base.schedule(&program);
-        assert_eq!(baseline.priced_with, machine::PricedWith::Exact);
-        for (mode, priced_with) in [
-            (CostMode::Exact, machine::PricedWith::Exact),
-            (CostMode::Auto, machine::PricedWith::Exact),
-            (CostMode::Analytic, machine::PricedWith::Analytic),
-        ] {
-            let tuned = DaisyScheduler::new(DaisyConfig::default().with_cache_mode(mode));
-            assert_eq!(
-                tuned.store_fingerprint(),
-                base.store_fingerprint(),
-                "cache mode {} must not invalidate stores",
-                mode.as_str()
-            );
-            let outcome = tuned.schedule(&program);
-            assert_eq!(
-                outcome,
-                baseline,
-                "cache mode {} changed the chosen schedule",
-                mode.as_str()
-            );
-            assert_eq!(outcome.priced_with, priced_with);
         }
     }
 

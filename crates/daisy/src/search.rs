@@ -67,8 +67,8 @@ pub(crate) fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + 
 /// request: `0` means "the machine decides"; any explicit request is clamped
 /// to [`std::thread::available_parallelism`] — oversubscribing cores only
 /// adds spawn and scheduling overhead (a 12-worker request on a 1-core
-/// machine made the PR 4 parallel scheduler ~0.84x of sequential, see
-/// `BENCH_PR4.json`) — and to the item count.
+/// machine once made the parallel scheduler ~0.84x of sequential) — and to
+/// the item count.
 pub(crate) fn effective_workers(requested: usize, items: usize) -> usize {
     let available = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -1242,9 +1242,9 @@ mod tests {
 
     #[test]
     fn requested_workers_clamp_to_available_parallelism() {
-        // Regression for the BENCH_PR4 observation: an explicit 12-worker
-        // request on a 1-core machine oversubscribed the scheduler to 0.84x
-        // of sequential. Requests must never exceed the machine.
+        // Regression: an explicit 12-worker request on a 1-core machine
+        // oversubscribed the scheduler to 0.84x of sequential. Requests
+        // must never exceed the machine.
         let available = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);

@@ -79,12 +79,16 @@ fn warm_start_emits_zero_search_generation_spans() {
     std::fs::create_dir_all(&dir).unwrap();
     let program = gemm(128);
 
-    // Seed + persist OUTSIDE the recorder scope: only the warm run is
-    // under observation.
-    let mut cold = DaisyScheduler::new(config());
-    cold.seed_from_programs(std::slice::from_ref(&program));
-    cold.persist(&path).unwrap();
-    let cold_outcome = cold.schedule(&program);
+    // Seed + persist outside the observed scope: only the warm run is
+    // under observation. The cold run still goes through `with_recorder`
+    // (into a discarded sink), so its events cannot leak into the sink of
+    // a concurrently running test.
+    let cold_outcome = with_recorder(Arc::new(CollectingRecorder::default()), || {
+        let mut cold = DaisyScheduler::new(config());
+        cold.seed_from_programs(std::slice::from_ref(&program));
+        cold.persist(&path).unwrap();
+        cold.schedule(&program)
+    });
 
     let sink = Arc::new(CollectingRecorder::default());
     let warm_outcome = with_recorder(sink.clone(), || {

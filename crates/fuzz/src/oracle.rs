@@ -487,7 +487,6 @@ fn daisy_config() -> DaisyConfig {
         neighbors: 1,
         parallelism: 1,
         simulation_parallelism: 1,
-        cache_mode: machine::CostMode::Exact,
     }
 }
 
@@ -509,11 +508,14 @@ fn schedule_oracle(program: &Program) -> std::result::Result<(), String> {
     semantics_match(program, &cold.program, "scheduling")?;
     // Cold-vs-warm: persisting the (possibly empty) database and warm
     // starting a fresh scheduler from it must reproduce the outcome
-    // bit-identically.
+    // bit-identically. The per-call sequence number keeps concurrent
+    // oracles on the same program out of each other's store directory.
+    static STORE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "daisyfuzz-store-{}-{:016x}",
+        "daisyfuzz-store-{}-{:016x}-{}",
         std::process::id(),
-        program.structural_hash()
+        program.structural_hash(),
+        STORE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).map_err(|e| format!("store dir: {e}"))?;
     let path = dir.join("case.tunedb");

@@ -33,8 +33,8 @@
 //! `[lower, upper]`, and [`CacheEstimate::error_bound`] is
 //! `max(estimate − lower, upper − estimate)` — therefore the *exact* miss
 //! count of either level always lies within `error_bound` of the estimate.
-//! The fuzz farm's analytic oracle and `bench_pr10` hold every workload to
-//! exactly this contract.
+//! The fuzz farm's analytic oracle and the cache differential suite hold
+//! every workload to exactly this contract.
 
 use loop_ir::program::Program;
 

@@ -661,9 +661,8 @@ impl CacheHierarchy {
 }
 
 /// The pre-refactor simulator: per-set `Vec<u64>` in LRU order, one full
-/// lookup per access. Kept as the ground truth for equivalence tests and as
-/// the baseline the criterion benches measure the streaming simulator
-/// against. Uses the same (rounded) geometry as [`CacheHierarchy`].
+/// lookup per access. Kept as the ground truth for equivalence tests.
+/// Uses the same (rounded) geometry as [`CacheHierarchy`].
 pub mod reference {
     use super::{nearest_pow2, CacheStats};
     use crate::config::MachineConfig;

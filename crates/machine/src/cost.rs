@@ -174,16 +174,14 @@ impl CostReport {
     }
 }
 
-/// How the model's cache tier prices a program: exact simulation, the
-/// bounded-error analytic estimate, or the automatic split that spends
-/// exact simulation only on final winner validation.
+/// How the model's cache tier prices a program: exact simulation or the
+/// bounded-error analytic estimate.
 ///
 /// The knob is **ranking-neutral by construction**: candidate ranking in
 /// the evolutionary search goes through the roofline estimate
 /// ([`CostModel::estimate`]), never through the cache tier, so the mode
-/// can never change which schedule wins — which is why it is excluded from
-/// store fingerprints (`daisy`'s scheduler records which mode priced the
-/// winner in its outcome instead).
+/// only changes how cache counters are reported, never which schedule
+/// wins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CostMode {
     /// Always run the exact sharded simulation (bit-identical counters).
@@ -192,17 +190,14 @@ pub enum CostMode {
     /// Always answer from the analytic tier ([`crate::estimate_cache`]):
     /// O(run signatures), counters within the reported error bound.
     Analytic,
-    /// Analytic during search generations, exact for the final winner.
-    Auto,
 }
 
 impl CostMode {
-    /// Parses the CLI spelling (`exact` / `analytic` / `auto`).
+    /// Parses the CLI spelling (`exact` / `analytic`).
     pub fn parse(s: &str) -> Option<CostMode> {
         match s {
             "exact" => Some(CostMode::Exact),
             "analytic" => Some(CostMode::Analytic),
-            "auto" => Some(CostMode::Auto),
             _ => None,
         }
     }
@@ -212,30 +207,8 @@ impl CostMode {
         match self {
             CostMode::Exact => "exact",
             CostMode::Analytic => "analytic",
-            CostMode::Auto => "auto",
         }
     }
-
-    /// Whether a pricing at this mode uses the exact tier.
-    /// `final_validation` marks the winner-validation call of a search (the
-    /// only exact pricing `Auto` pays for).
-    pub fn uses_exact(&self, final_validation: bool) -> bool {
-        match self {
-            CostMode::Exact => true,
-            CostMode::Analytic => false,
-            CostMode::Auto => final_validation,
-        }
-    }
-}
-
-/// Which tier actually priced a result — recorded by consumers (e.g. the
-/// scheduler's outcome) so a stored winner is auditable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PricedWith {
-    /// The exact sharded simulation.
-    Exact,
-    /// The analytic bounded-error estimate.
-    Analytic,
 }
 
 /// The answer of [`CostModel::assess_cache`]: exact counters or a
@@ -270,14 +243,6 @@ impl CacheAssessment {
         match self {
             CacheAssessment::Exact(stats) => stats.accesses(),
             CacheAssessment::Analytic(est) => est.accesses,
-        }
-    }
-
-    /// The tier that produced this assessment.
-    pub fn priced_with(&self) -> PricedWith {
-        match self {
-            CacheAssessment::Exact(_) => PricedWith::Exact,
-            CacheAssessment::Analytic(_) => PricedWith::Analytic,
         }
     }
 
@@ -358,7 +323,8 @@ impl CostModel {
     }
 
     /// Returns this model with memoization disabled — every nest is priced
-    /// from scratch. The pre-refactor behavior, kept for baseline benches.
+    /// from scratch. The pre-refactor behavior, kept as the reference the
+    /// memoized search is checked against.
     pub fn without_memoization(mut self) -> Self {
         self.memo = None;
         self.summaries = None;
@@ -369,16 +335,10 @@ impl CostModel {
 
     /// Returns this model answering [`CostModel::assess_cache`] at the
     /// given [`CostMode`]. Ranking-neutral: candidate ranking never goes
-    /// through the cache tier, so the chosen schedule is identical at any
-    /// mode (the scheduler's tests pin this).
+    /// through the cache tier.
     pub fn with_cost_mode(mut self, mode: CostMode) -> Self {
         self.cost_mode = mode;
         self
-    }
-
-    /// The mode [`CostModel::assess_cache`] answers at.
-    pub fn cost_mode(&self) -> CostMode {
-        self.cost_mode
     }
 
     /// Returns this model with the given sharded-simulation worker count
@@ -501,24 +461,21 @@ impl CostModel {
 
     /// Prices the program's cache behaviour at the model's [`CostMode`]:
     /// the exact sharded simulation or the analytic bounded-error estimate.
-    /// `final_validation` marks the winner-validation pricing of a search —
-    /// the only call `Auto` answers exactly. Telemetry counts which tier
-    /// answered (`machine.cost.analytic_pricings` /
-    /// `machine.cost.exact_pricings`).
+    /// Telemetry counts which tier answered
+    /// (`machine.cost.analytic_pricings` / `machine.cost.exact_pricings`).
     ///
     /// # Errors
     /// Lowering, trace-generation and streaming errors.
-    pub fn assess_cache(
-        &self,
-        program: &Program,
-        final_validation: bool,
-    ) -> Result<CacheAssessment, crate::MachineError> {
-        if self.cost_mode.uses_exact(final_validation) {
-            telemetry::counter("machine.cost.exact_pricings", 1);
-            Ok(CacheAssessment::Exact(self.simulated_cache(program)?))
-        } else {
-            telemetry::counter("machine.cost.analytic_pricings", 1);
-            Ok(CacheAssessment::Analytic(self.analytic_cache(program)?))
+    pub fn assess_cache(&self, program: &Program) -> Result<CacheAssessment, crate::MachineError> {
+        match self.cost_mode {
+            CostMode::Exact => {
+                telemetry::counter("machine.cost.exact_pricings", 1);
+                Ok(CacheAssessment::Exact(self.simulated_cache(program)?))
+            }
+            CostMode::Analytic => {
+                telemetry::counter("machine.cost.analytic_pricings", 1);
+                Ok(CacheAssessment::Analytic(self.analytic_cache(program)?))
+            }
         }
     }
 
@@ -1258,15 +1215,20 @@ mod tests {
     #[test]
     fn assess_cache_dispatches_on_cost_mode_and_brackets_exact_counters() {
         let p = gemm("ijk", 32);
-        let exact = CostModel::sequential().assess_cache(&p, false).unwrap();
-        assert_eq!(exact.priced_with(), PricedWith::Exact);
+        // Priced under a discarded sink, so these pricings cannot leak into
+        // the sink of `analytic_pricings_memoize_and_count`.
+        let (exact, analytic) =
+            telemetry::with_recorder(Arc::new(telemetry::CollectingRecorder::default()), || {
+                let exact = CostModel::sequential().assess_cache(&p).unwrap();
+                let analytic = CostModel::sequential()
+                    .with_cost_mode(CostMode::Analytic)
+                    .assess_cache(&p)
+                    .unwrap();
+                (exact, analytic)
+            });
+        assert!(matches!(exact, CacheAssessment::Exact(_)));
         assert_eq!(exact.error_bound(), 0);
-
-        let analytic = CostModel::sequential()
-            .with_cost_mode(CostMode::Analytic)
-            .assess_cache(&p, true)
-            .unwrap();
-        assert_eq!(analytic.priced_with(), PricedWith::Analytic);
+        assert!(matches!(analytic, CacheAssessment::Analytic(_)));
         assert!(
             exact.l1().misses.abs_diff(analytic.l1().misses) <= analytic.error_bound(),
             "analytic L1 misses {} must bracket exact {} within {}",
@@ -1276,17 +1238,6 @@ mod tests {
         );
         assert!(exact.l2().misses.abs_diff(analytic.l2().misses) <= analytic.error_bound());
         assert_eq!(analytic.accesses(), exact.accesses());
-
-        // Auto: analytic during search, exact for the final winner.
-        let auto = CostModel::sequential().with_cost_mode(CostMode::Auto);
-        assert_eq!(
-            auto.assess_cache(&p, false).unwrap().priced_with(),
-            PricedWith::Analytic
-        );
-        assert_eq!(
-            auto.assess_cache(&p, true).unwrap().priced_with(),
-            PricedWith::Exact
-        );
     }
 
     #[test]
@@ -1295,8 +1246,8 @@ mod tests {
         let model = CostModel::sequential().with_cost_mode(CostMode::Analytic);
         let sink = Arc::new(telemetry::CollectingRecorder::default());
         telemetry::with_recorder(sink.clone(), || {
-            let first = model.assess_cache(&p, false).unwrap();
-            let second = model.assess_cache(&p, false).unwrap();
+            let first = model.assess_cache(&p).unwrap();
+            let second = model.assess_cache(&p).unwrap();
             assert_eq!(first.l1(), second.l1());
         });
         assert_eq!(sink.counter_total("machine.cost.analytic_pricings"), 2);
@@ -1307,10 +1258,11 @@ mod tests {
 
     #[test]
     fn cost_mode_parses_its_cli_spellings_round_trip() {
-        for mode in [CostMode::Exact, CostMode::Analytic, CostMode::Auto] {
+        for mode in [CostMode::Exact, CostMode::Analytic] {
             assert_eq!(CostMode::parse(mode.as_str()), Some(mode));
         }
         assert_eq!(CostMode::parse("fast"), None);
+        assert_eq!(CostMode::parse("auto"), None);
         assert_eq!(CostMode::default(), CostMode::Exact);
     }
 

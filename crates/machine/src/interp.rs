@@ -10,8 +10,8 @@
 //! closed-form zero-trip and constant-bound handling) and then executed
 //! without any per-iteration symbolic evaluation. The pre-refactor
 //! tree-walking interpreter survives as [`reference`] and is the baseline of
-//! the differential tests and the `bench_pr4` throughput snapshot: both
-//! produce bit-identical array state on every valid program.
+//! the differential tests and the paper-size throughput gate: both produce
+//! bit-identical array state on every valid program.
 
 use std::collections::BTreeMap;
 

@@ -5,8 +5,7 @@
 //! is retained as the ground truth for the compiled execution engine
 //! ([`crate::exec`]) — the differential test suite asserts bit-identical
 //! array state between the two on the whole PolyBench + CLOUDSC corpus, and
-//! `bench_pr4` reports the compiled engine's throughput against this
-//! baseline.
+//! the paper-size gates time the compiled engine against this baseline.
 
 use loop_ir::array::ArrayRef;
 use loop_ir::nest::{BlasCall, BlasKind, Node};

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates schedules by running generated code on an Intel Xeon
 //! E5-2680 v3. This reproduction has no LLVM backend, so the crate provides
-//! the substitutes (see DESIGN.md):
+//! the substitutes:
 //!
 //! * [`exec`] — the compiled loop-nest execution engine: one lowering (flat
 //!   array slots, affine offset/stride plans, closed-form zero-trip and
@@ -49,7 +49,7 @@
 //! flat tag array; its counters are bit-identical to the retained
 //! per-access pipeline ([`trace::simulate_cache_per_access`]) and to the
 //! naive reference simulator ([`cache::reference`]), both kept for
-//! equivalence tests and as bench baselines.
+//! equivalence tests and as the baselines of the paper-size gates.
 //!
 //! [`cost::CostModel`] memoizes behind structural hashes at two levels:
 //! whole-nest costs, and per-computation *run summaries* (the per-iterator
@@ -76,9 +76,7 @@ pub mod trace;
 pub use analytic::{estimate_cache, estimate_cache_compiled, AnalyticSink, CacheEstimate};
 pub use cache::{reference::ReferenceCacheHierarchy, CacheHierarchy, CacheStats};
 pub use config::MachineConfig;
-pub use cost::{
-    count_flops, CacheAssessment, CostMode, CostModel, CostReport, NestCost, PricedWith,
-};
+pub use cost::{count_flops, CacheAssessment, CostMode, CostModel, CostReport, NestCost};
 pub use error::{MachineError, Result};
 pub use exec::CompiledProgram;
 pub use interp::{run_seeded, Interpreter, ProgramData};

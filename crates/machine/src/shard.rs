@@ -460,8 +460,7 @@ impl<S: AccessSink> AccessSink for UnitWindow<S> {
 /// `0` means "the machine decides"; any explicit request is clamped to
 /// [`std::thread::available_parallelism`] — oversubscribing cores only adds
 /// spawn and scheduling overhead — and to the shard count. Mirrors the
-/// scheduler-side clamp of `daisy`'s `parallel_map_with` (see
-/// `BENCH_PR4.json` for the regression that motivated it).
+/// scheduler-side clamp of `daisy`'s `parallel_map_with`.
 pub fn effective_sim_workers(requested: usize, shards: usize) -> usize {
     let available = std::thread::available_parallelism()
         .map(|n| n.get())

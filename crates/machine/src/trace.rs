@@ -19,7 +19,7 @@
 //! pre-refactor per-iteration symbolic walker is retained as
 //! [`walk_accesses_symbolic`], and the per-access simulation pipeline as
 //! [`simulate_cache_per_access`] — the ground truths of the equivalence
-//! tests and the bench baselines.
+//! tests and the baselines of the paper-size throughput gates.
 
 use loop_ir::array::AccessKind;
 use loop_ir::nest::Node;

@@ -13,9 +13,13 @@
 //! a cache line (transposed subscripts) and interleaved multi-access bodies
 //! whose lines collide in the tiny test cache's few sets.
 
+use bench::workloads::{cache_workloads, stencil_workloads};
 use loop_ir::parser::parse_program;
 use loop_ir::program::Program;
-use machine::{simulate_cache, simulate_cache_per_access, simulate_cache_reference, MachineConfig};
+use machine::{
+    estimate_cache, simulate_cache, simulate_cache_per_access, simulate_cache_reference,
+    MachineConfig,
+};
 use polybench::cloudsc::{erosion_optimized, erosion_original, CloudscSizes};
 use polybench::{all_benchmarks, Dataset};
 use proptest::{prop, prop_assert_eq, proptest, ProptestConfig, Strategy};
@@ -248,7 +252,9 @@ fn directed_edge_cases_simulate_bit_identically() {
 #[test]
 fn workload_suite_simulates_bit_identically() {
     // The real workloads of the reproduction: every PolyBench A variant and
-    // the Table 1 CLOUDSC erosion nests, on the paper's machine geometry.
+    // the Table 1 CLOUDSC erosion nests, on the paper's machine geometry,
+    // plus the named cache workloads and lane-merging stencils at the smoke
+    // size of their paper-size gates (`crates/bench/tests/paper_gates.rs`).
     let machine = MachineConfig::xeon_e5_2680v3();
     for b in all_benchmarks() {
         assert_cache_equivalence(&(b.a)(Dataset::Mini), &machine);
@@ -256,4 +262,28 @@ fn workload_suite_simulates_bit_identically() {
     let sizes = CloudscSizes::mini();
     assert_cache_equivalence(&erosion_original(sizes), &machine);
     assert_cache_equivalence(&erosion_optimized(sizes), &machine);
+    for (_, program) in cache_workloads(true).iter().chain(&stencil_workloads(true)) {
+        assert_cache_equivalence(program, &machine);
+    }
+}
+
+#[test]
+fn analytic_estimates_bracket_the_named_workloads() {
+    // Every analytic estimate must hold the exact miss counts within its
+    // own reported error bound, with closed-form exact access counts.
+    let machine = MachineConfig::xeon_e5_2680v3();
+    for (name, program) in cache_workloads(true) {
+        let exact = simulate_cache(&program, &machine).unwrap();
+        let estimate = estimate_cache(&program, &machine).unwrap();
+        assert_eq!(estimate.accesses, exact.accesses(), "{name}: accesses");
+        assert!(
+            estimate.brackets(&exact.l1(), &exact.l2()),
+            "{name}: exact misses l1={} l2={} outside estimate l1={} l2={} ± {}",
+            exact.l1().misses,
+            exact.l2().misses,
+            estimate.l1.misses,
+            estimate.l2.misses,
+            estimate.error_bound
+        );
+    }
 }

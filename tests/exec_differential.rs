@@ -70,6 +70,15 @@ fn cloudsc_proxies_are_bit_identical_under_the_compiled_engine() {
     ] {
         assert_differential(&full_model(variant, sizes));
     }
+    // The two-block shape of the paper-size interpreter-throughput gate
+    // (`crates/bench/tests/paper_gates.rs`) at its smoke size.
+    let two_blocks = CloudscSizes {
+        nblocks: 2,
+        ..sizes
+    };
+    for variant in [CloudscVariant::Fortran, CloudscVariant::Dace] {
+        assert_differential(&full_model(variant, two_blocks));
+    }
 }
 
 #[test]

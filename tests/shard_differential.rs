@@ -28,6 +28,7 @@ use machine::{
     simulate_cache_sharded_per_access, simulate_cache_sharded_with_plan, CompiledProgram,
     MachineConfig, ShardGranularity, ShardPlan, ShardedCacheStats,
 };
+use polybench::cloudsc::{full_model, CloudscSizes, CloudscVariant};
 use proptest::{prop_assert_eq, proptest, ProptestConfig, Strategy};
 
 /// A blocked nest: `NB` trips of a top-level block loop, each reading and
@@ -194,4 +195,27 @@ fn run_group_fallback_is_worker_invariant_and_matches_the_oracle() {
     }
     let oracle = simulate_cache_sharded_per_access(&compiled, &plan, &machine).unwrap();
     assert_counters_match("run-group fallback", &baseline, &oracle);
+}
+
+#[test]
+fn cloudsc_full_models_shard_identically_at_every_worker_count() {
+    // The derived block plan of the real multi-block traces, on the paper's
+    // machine geometry: merged stats are worker-invariant and cover exactly
+    // the monolithic simulation's accesses.
+    let machine = MachineConfig::xeon_e5_2680v3();
+    for variant in [CloudscVariant::Fortran, CloudscVariant::Dace] {
+        let program = full_model(variant, CloudscSizes::mini());
+        let baseline = simulate_cache_sharded(&program, &machine, 1).unwrap();
+        for workers in [2usize, 4, 8] {
+            let threaded = simulate_cache_sharded(&program, &machine, workers).unwrap();
+            assert_eq!(threaded, baseline, "{}: workers = {workers}", program.name);
+        }
+        let monolithic = simulate_cache(&program, &machine).unwrap();
+        assert_eq!(
+            baseline.accesses(),
+            monolithic.accesses(),
+            "{}",
+            program.name
+        );
+    }
 }
