@@ -18,7 +18,10 @@ use baselines::{
 use daisy::{DaisyConfig, DaisyScheduler, ScheduleOutcome};
 use loop_ir::parser::parse_program;
 use loop_ir::program::Program;
-use machine::{effective_sim_workers, CacheAssessment, CostMode, CostModel, MachineConfig};
+use machine::{
+    effective_sim_workers, simulate_cache_sharded_tallied, CompiledProgram, CostMode, CostModel,
+    MachineConfig, ShardPlan,
+};
 use normalize::Normalizer;
 use polybench::cloudsc::{
     erosion_optimized, erosion_original, erosion_single_level, full_model, CloudscSizes,
@@ -617,17 +620,22 @@ pub fn fig11_cloudsc_full(ctx: &ReproContext) {
     } else {
         cloudsc_versions(trace_sizes)
     };
-    let mut shards = 0;
-    let rows: Vec<Vec<String>> = trace_versions
+    let traces: Vec<(&str, TraceStats)> = trace_versions
         .iter()
         .map(|(name, p)| {
             let t = simulate_trace(name, p, &machine, sim_workers, ctx.options().cache_mode);
-            shards = t.shards;
+            (*name, t)
+        })
+        .collect();
+    let rows: Vec<Vec<String>> = traces
+        .iter()
+        .map(|(name, t)| {
             vec![
                 name.to_string(),
                 t.accesses.to_string(),
+                t.simulated_accesses.to_string(),
                 format!("{:.1}", t.seconds * 1e3),
-                format!("{:.0}", t.accesses as f64 / t.seconds / 1e6),
+                format!("{:.0}", t.simulated_macc_per_s()),
                 format!("{:.1}%", 100.0 * t.l1_hit_rate),
                 t.l1_loads.to_string(),
             ]
@@ -641,6 +649,7 @@ pub fn fig11_cloudsc_full(ctx: &ReproContext) {
         &[
             "version",
             "accesses",
+            "simulated",
             "sim [ms]",
             "Macc/s",
             "L1 hit rate",
@@ -648,7 +657,9 @@ pub fn fig11_cloudsc_full(ctx: &ReproContext) {
         ],
         &rows,
     );
-    print_trace_sharding("\ntrace sharding", trace_sizes, shards, sim_workers);
+    if let Some((_, t)) = traces.last() {
+        print_trace_sharding("\ntrace sharding", trace_sizes, t, sim_workers);
+    }
 }
 
 /// The block count the paper's full CLOUDSC experiments sweep
@@ -674,19 +685,32 @@ fn trace_block_sizes(ctx: &ReproContext) -> CloudscSizes {
 
 /// One trace simulation of a figure workload.
 struct TraceStats {
+    /// Accesses of the whole trace, as the counters represent them.
     accesses: u64,
+    /// Accesses the congruence-class representatives actually streamed.
+    simulated_accesses: u64,
     seconds: f64,
     l1_hit_rate: f64,
     l1_loads: u64,
     shards: usize,
+    classes: usize,
 }
 
-/// Produces one figure workload's trace-backed counters through
-/// [`CostModel::assess_cache`] at the run's `--cache-mode`. Under the
-/// exact tier this streams the access trace through the sharded cache
-/// driver, whose counters are bit-identical at any `sim_workers` value. Under
-/// `--cache-mode analytic` the counters come from the bounded-error
-/// estimator instead and `shards` is 0 (nothing is simulated).
+impl TraceStats {
+    /// Simulation throughput over the accesses actually simulated.
+    fn simulated_macc_per_s(&self) -> f64 {
+        self.simulated_accesses as f64 / self.seconds / 1e6
+    }
+}
+
+/// Produces one figure workload's trace-backed counters at the run's
+/// `--cache-mode`. Under the exact tier this streams the access trace
+/// through the sharded cache driver, whose counters are bit-identical at
+/// any `sim_workers` value, and takes the class count and simulated
+/// accesses from the driver's own tally. Under `--cache-mode analytic` the
+/// counters come from the cost model's bounded-error estimator instead and
+/// `shards`, `classes` and `simulated_accesses` are 0 (nothing is
+/// simulated).
 fn simulate_trace(
     name: &str,
     program: &Program,
@@ -694,36 +718,47 @@ fn simulate_trace(
     sim_workers: usize,
     cache_mode: CostMode,
 ) -> TraceStats {
-    let model = CostModel::new(machine.clone(), 1)
-        .with_cost_mode(cache_mode)
-        .with_simulation_parallelism(sim_workers);
+    let fails = |e: machine::MachineError| -> ! { panic!("{name}: trace fails: {e}") };
     let start = Instant::now();
-    let assessment = model
-        .assess_cache(program)
-        .unwrap_or_else(|e| panic!("{name}: trace fails: {e}"));
-    let shards = match &assessment {
-        CacheAssessment::Exact(stats) => stats.shards(),
-        CacheAssessment::Analytic(_) => 0,
+    let (accesses, l1, shards, tally) = match cache_mode {
+        CostMode::Exact => {
+            let compiled = CompiledProgram::lower(program).unwrap_or_else(|e| fails(e));
+            let plan = ShardPlan::for_program(&compiled).unwrap_or_else(|e| fails(e));
+            let (stats, tally) =
+                simulate_cache_sharded_tallied(&compiled, &plan, machine, sim_workers)
+                    .unwrap_or_else(|e| fails(e));
+            (stats.accesses(), stats.l1(), stats.shards(), tally)
+        }
+        CostMode::Analytic => {
+            let estimate = CostModel::new(machine.clone(), 1)
+                .analytic_cache(program)
+                .unwrap_or_else(|e| fails(e));
+            (estimate.accesses, estimate.l1, 0, Default::default())
+        }
     };
     TraceStats {
-        accesses: assessment.accesses(),
+        accesses,
+        simulated_accesses: tally.simulated_accesses,
         seconds: start.elapsed().as_secs_f64().max(1e-9),
-        l1_hit_rate: assessment.l1().hit_rate(),
-        l1_loads: assessment.l1().loads,
+        l1_hit_rate: l1.hit_rate(),
+        l1_loads: l1.loads,
         shards,
+        classes: tally.classes,
     }
 }
 
 /// Prints the sharding configuration of a trace-backed figure section:
-/// block count, shard count, and the requested/effective simulation worker
-/// counts.
-fn print_trace_sharding(label: &str, sizes: CloudscSizes, shards: usize, sim_workers: usize) {
+/// block count, shard and congruence-class counts, and the
+/// requested/effective simulation worker counts (the pool receives one
+/// job per class).
+fn print_trace_sharding(label: &str, sizes: CloudscSizes, trace: &TraceStats, sim_workers: usize) {
     println!(
-        "{label}: NBLOCKS={}, {} shards, sim-workers={} (effective {})",
+        "{label}: NBLOCKS={}, {} shards in {} classes, sim-workers={} (effective {})",
         sizes.nblocks,
-        shards,
+        trace.shards,
+        trace.classes,
         sim_workers,
-        effective_sim_workers(sim_workers, shards),
+        effective_sim_workers(sim_workers, trace.classes),
     );
 }
 
@@ -813,14 +848,15 @@ pub fn fig12_cloudsc_scaling(ctx: &ReproContext) {
         ctx.options().cache_mode,
     );
     println!(
-        "\ndaisy trace per schedule point (NBLOCKS={}): {} accesses simulated in {:.1} ms ({:.0} Macc/s), L1 hit rate {:.1}%",
+        "\ndaisy trace per schedule point (NBLOCKS={}): {} accesses, {} simulated in {:.1} ms ({:.0} Macc/s), L1 hit rate {:.1}%",
         trace_sizes.nblocks,
         trace.accesses,
+        trace.simulated_accesses,
         trace.seconds * 1e3,
-        trace.accesses as f64 / trace.seconds / 1e6,
+        trace.simulated_macc_per_s(),
         100.0 * trace.l1_hit_rate
     );
-    print_trace_sharding("trace sharding", trace_sizes, trace.shards, sim_workers);
+    print_trace_sharding("trace sharding", trace_sizes, &trace, sim_workers);
 }
 
 // --------------------------------------------------------------------------
@@ -916,7 +952,7 @@ pub fn table1_cloudsc_erosion(ctx: &ReproContext) {
         t(&original_full) / t(&optimized_full)
     );
     println!("note: the paper's lower L1 load/evict counts stem from removed register spills,");
-    println!("which the IR-level cache simulation cannot observe (see EXPERIMENTS.md).");
+    println!("which the IR-level cache simulation cannot observe.");
 }
 
 // --------------------------------------------------------------------------

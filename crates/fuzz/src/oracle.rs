@@ -18,6 +18,14 @@
 //!   versus the exact simulator: the estimated miss counts must stay within
 //!   the estimate's *own reported* error bound on both levels, and access
 //!   counts must match exactly.
+//! * **shard** — the sharded simulation's congruence grouping (see
+//!   [`machine::shard`]): on the tiny test machine, the grouped
+//!   [`machine::simulate_cache_sharded_with_plan`] must equal the sum of
+//!   its shards simulated one plan each (every counter, `probes`
+//!   included), and match the per-access sharded oracle
+//!   [`machine::simulate_cache_sharded_per_access`] on every counter but
+//!   `probes` — on the program and on a blocked twin whose arrays translate
+//!   by a period multiple per block trip, so the grouping really groups.
 //! * **normalize** — the normalization pipeline: the normalized program
 //!   validates, normalization is idempotent, the normalized program still
 //!   agrees with *its* references (exec + trace), and its results match
@@ -33,17 +41,19 @@ use daisy::{DaisyConfig, DaisyScheduler};
 use loop_ir::prelude::*;
 use machine::interp::{reference, ProgramData};
 use machine::{
-    simulate_cache, simulate_cache_per_access, simulate_cache_reference, Interpreter,
-    MachineConfig, TraceEntry,
+    simulate_cache, simulate_cache_per_access, simulate_cache_reference,
+    simulate_cache_sharded_per_access, simulate_cache_sharded_with_plan, CacheStats,
+    CompiledProgram, Interpreter, MachineConfig, ShardGranularity, ShardPlan, TraceEntry,
 };
 use normalize::Normalizer;
 
 /// Names of all oracles, in the order [`check_all`] runs them.
-pub const ORACLES: [&str; 6] = [
+pub const ORACLES: [&str; 7] = [
     "exec",
     "trace",
     "cache",
     "analytic",
+    "shard",
     "normalize",
     "schedule",
 ];
@@ -130,13 +140,15 @@ impl Default for OracleSelection {
 type OracleFn = fn(&Program) -> std::result::Result<(), String>;
 
 /// Runs every selected oracle on `program`, stopping at the first failure.
-/// `case_index` drives the schedule-oracle subsampling.
+/// The shard oracle always runs. `case_index` drives the schedule-oracle
+/// subsampling.
 pub fn check_all(program: &Program, oracles: &OracleSelection, case_index: u64) -> Verdict {
-    let battery: [(&'static str, bool, OracleFn); 6] = [
+    let battery: [(&'static str, bool, OracleFn); 7] = [
         ("exec", oracles.exec, exec_oracle),
         ("trace", oracles.trace, trace_oracle),
         ("cache", oracles.cache, cache_oracle),
         ("analytic", oracles.analytic, analytic_oracle),
+        ("shard", true, shard_oracle),
         ("normalize", oracles.normalize, normalize_oracle),
         (
             "schedule",
@@ -164,6 +176,7 @@ pub fn check_one(program: &Program, oracle: &str) -> Verdict {
         "trace" => trace_oracle,
         "cache" => cache_oracle,
         "analytic" => analytic_oracle,
+        "shard" => shard_oracle,
         "normalize" => normalize_oracle,
         "schedule" => schedule_oracle,
         other => {
@@ -416,6 +429,149 @@ fn analytic_oracle(program: &Program) -> std::result::Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// Trips of the block loop [`translated_blocks`] wraps a program in.
+const SHARD_TRIPS: i64 = 3;
+
+fn shard_oracle(program: &Program) -> std::result::Result<(), String> {
+    shard_differential(program, "")?;
+    match translated_blocks(program) {
+        Some(blocked) => shard_differential(&blocked, "translated blocks: "),
+        None => Ok(()),
+    }
+}
+
+/// `program` repeated under a fresh block loop of [`SHARD_TRIPS`] trips,
+/// every array gaining a leading dimension that trip `r` indexes at
+/// `r · k`, with `k` the smallest factor that makes the array's per-trip
+/// translation a multiple of 4 KiB (hence of the tiny machine's 1 KiB
+/// translation period). Generated programs rarely translate by a period
+/// multiple on their own; this twin puts all its block shards in one
+/// congruence class exactly when the grouping's preconditions hold.
+/// `None` for programs with library calls or unsized arrays.
+fn translated_blocks(program: &Program) -> Option<Program> {
+    let r = Var::new("shard_block");
+    let mut scale = std::collections::BTreeMap::new();
+    let mut blocked = program.clone();
+    for (name, array) in &mut blocked.arrays {
+        let bytes = array.len(&program.params)? * array.elem_size as i64;
+        let k = 4096i64 >> bytes.trailing_zeros().min(12);
+        array.dims.insert(0, cst(SHARD_TRIPS * k));
+        scale.insert(name.clone(), k);
+    }
+    let shift = |a: &ArrayRef| {
+        let mut shifted = a.clone();
+        shifted
+            .indices
+            .insert(0, cst(scale[&a.array]) * var(r.as_str()));
+        shifted
+    };
+    let body = shift_nodes(&program.body, &shift)?;
+    blocked.body = vec![for_loop(r.clone(), cst(0), cst(SHARD_TRIPS), body)];
+    blocked.validate().ok().map(|()| blocked)
+}
+
+/// Rewrites every array reference of `nodes` through `shift`; `None` when
+/// a library call (whose operands are whole arrays) is present.
+fn shift_nodes(nodes: &[Node], shift: &impl Fn(&ArrayRef) -> ArrayRef) -> Option<Vec<Node>> {
+    nodes
+        .iter()
+        .map(|node| match node {
+            Node::Loop(l) => Some(Node::Loop(Loop {
+                body: shift_nodes(&l.body, shift)?,
+                ..l.clone()
+            })),
+            Node::Computation(c) => Some(Node::Computation(Computation {
+                target: shift(&c.target),
+                value: shift_loads(&c.value, shift),
+                ..c.clone()
+            })),
+            Node::Call(_) => None,
+        })
+        .collect()
+}
+
+fn shift_loads(e: &ScalarExpr, shift: &impl Fn(&ArrayRef) -> ArrayRef) -> ScalarExpr {
+    let boxed = |e: &ScalarExpr| Box::new(shift_loads(e, shift));
+    match e {
+        ScalarExpr::Load(a) => ScalarExpr::Load(shift(a)),
+        ScalarExpr::Const(_) | ScalarExpr::Param(_) | ScalarExpr::Index(_) => e.clone(),
+        ScalarExpr::Unary(op, a) => ScalarExpr::Unary(*op, boxed(a)),
+        ScalarExpr::Binary(op, a, b) => ScalarExpr::Binary(*op, boxed(a), boxed(b)),
+        ScalarExpr::Select {
+            lhs,
+            cmp,
+            rhs,
+            then,
+            otherwise,
+        } => ScalarExpr::Select {
+            lhs: boxed(lhs),
+            cmp: *cmp,
+            rhs: boxed(rhs),
+            then: boxed(then),
+            otherwise: boxed(otherwise),
+        },
+    }
+}
+
+/// The shard differential on one program; `label` prefixes the failure
+/// detail so the derived twin's failures say so.
+fn shard_differential(program: &Program, label: &str) -> std::result::Result<(), String> {
+    let machine = MachineConfig::tiny_for_tests();
+    // Lowering and planning faults are the exec and cache oracles' business.
+    let Ok(compiled) = CompiledProgram::lower(program) else {
+        return Ok(());
+    };
+    let Ok(plan) = ShardPlan::for_program(&compiled) else {
+        return Ok(());
+    };
+    let grouped = simulate_cache_sharded_with_plan(&compiled, &plan, &machine, 1);
+    let oracle = simulate_cache_sharded_per_access(&compiled, &plan, &machine);
+    // Every shard on a plan of its own: one shard is one class, so nothing
+    // is grouped.
+    let zero = (0u64, 0u64, CacheStats::default(), CacheStats::default());
+    let ungrouped =
+        plan.shards()
+            .iter()
+            .try_fold(zero, |(accesses, probes, mut l1, mut l2), &cut| {
+                let single = match plan.granularity() {
+                    ShardGranularity::Blocks => ShardPlan::blocks(vec![cut]),
+                    ShardGranularity::RunGroups => ShardPlan::run_groups(vec![cut]),
+                };
+                let s = simulate_cache_sharded_with_plan(&compiled, &single, &machine, 1)?;
+                l1.merge(&s.l1());
+                l2.merge(&s.l2());
+                Ok((accesses + s.accesses(), probes + s.probes(), l1, l2))
+            });
+    match (grouped, ungrouped, oracle) {
+        (Ok(grouped), Ok(ungrouped), Ok(oracle)) => {
+            let counters = (grouped.accesses(), grouped.l1(), grouped.l2());
+            if (counters.0, grouped.probes(), counters.1, counters.2) != ungrouped {
+                return Err(format!(
+                    "{label}grouped sharded counters diverge from the ungrouped shards: {grouped:?} vs {ungrouped:?}"
+                ));
+            }
+            if counters != (oracle.accesses(), oracle.l1(), oracle.l2()) {
+                return Err(format!(
+                    "{label}grouped sharded counters diverge from the per-access oracle: {grouped:?} vs {oracle:?}"
+                ));
+            }
+            Ok(())
+        }
+        (Err(g), Err(u), Err(o))
+            if std::mem::discriminant(&g) == std::mem::discriminant(&u)
+                && std::mem::discriminant(&u) == std::mem::discriminant(&o) =>
+        {
+            Ok(())
+        }
+        (g, u, o) => Err(format!(
+            "{label}sharded outcomes diverge: grouped {:?}, ungrouped {:?}, per-access {:?}",
+            g.err().map(|e| e.to_string()),
+            u.err().map(|e| e.to_string()),
+            o.err().map(|e| e.to_string()),
+        )),
+    }
 }
 
 fn normalize_oracle(program: &Program) -> std::result::Result<(), String> {

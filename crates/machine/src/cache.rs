@@ -69,6 +69,19 @@ impl CacheStats {
         }
     }
 
+    /// The counters of `times` replicas that each counted `self` — the
+    /// scaling of one congruence-class representative of the sharded
+    /// driver (`shard::simulate_cache_sharded_with_plan`) to its whole
+    /// class.
+    pub fn times(&self, times: u64) -> CacheStats {
+        CacheStats {
+            loads: self.loads * times,
+            evicts: self.evicts * times,
+            hits: self.hits * times,
+            misses: self.misses * times,
+        }
+    }
+
     /// Accumulates another replica's counters into this one — the reduction
     /// of the sharded simulation driver (`shard::simulate_cache_sharded`).
     /// Field-wise `u64` addition, so the merged result is independent of
@@ -103,6 +116,27 @@ pub(crate) fn nearest_pow2(n: u64) -> u64 {
     }
 }
 
+/// The simulated geometry of one cache level: `(associativity, line bytes,
+/// set count)`, with line bytes and set count rounded to powers of two.
+fn level_geometry(capacity: usize, assoc: usize, line_bytes: usize) -> (usize, u64, u64) {
+    let assoc = assoc.max(1);
+    let line_bytes = nearest_pow2(line_bytes.max(1) as u64);
+    let lines = ((capacity as u64) / line_bytes).max(assoc as u64);
+    (assoc, line_bytes, nearest_pow2(lines / assoc as u64))
+}
+
+/// The translation period of `machine`'s simulated hierarchy: the largest
+/// `set_count × line_bytes` over both levels. Every level's period is a
+/// power of two dividing it, so translating addresses by a multiple of it
+/// keeps each address's set index and line offset at every level. `None`
+/// when a line is larger than the [`AddressMap`] array alignment, where
+/// one line could hold the tail of one array and the head of the next.
+pub(crate) fn congruence_period(machine: &MachineConfig) -> Option<u64> {
+    let (_, line, l1_sets) = level_geometry(machine.l1_bytes, machine.l1_assoc, machine.line_bytes);
+    let (_, _, l2_sets) = level_geometry(machine.l2_bytes, machine.l2_assoc, machine.line_bytes);
+    (line <= ARRAY_ALIGNMENT).then(|| line * l1_sets.max(l2_sets))
+}
+
 /// One level of a set-associative LRU cache: per set, the line tags in true
 /// LRU order (front = MRU) inside one flat preallocated array — the
 /// reference algorithm's recency list without its per-set `Vec`s. Hits scan
@@ -127,10 +161,7 @@ struct CacheLevel {
 
 impl CacheLevel {
     fn new(capacity: usize, assoc: usize, line_bytes: usize) -> Self {
-        let assoc = assoc.max(1);
-        let line_bytes = nearest_pow2(line_bytes.max(1) as u64);
-        let lines = ((capacity as u64) / line_bytes).max(assoc as u64);
-        let set_count = nearest_pow2(lines / assoc as u64);
+        let (assoc, line_bytes, set_count) = level_geometry(capacity, assoc, line_bytes);
         CacheLevel {
             tags: vec![EMPTY; (set_count as usize) * assoc].into_boxed_slice(),
             probes: 0,
@@ -757,6 +788,9 @@ pub mod reference {
     }
 }
 
+/// Byte alignment of every array base in an [`AddressMap`].
+pub(crate) const ARRAY_ALIGNMENT: u64 = 0x1000;
+
 /// Assigns non-overlapping base addresses to the arrays of a program so that
 /// linear offsets can be turned into byte addresses.
 #[derive(Debug, Clone, Default)]
@@ -768,11 +802,11 @@ impl AddressMap {
     /// Lays out the arrays of a program consecutively, 4 KiB aligned.
     pub fn for_program(program: &loop_ir::Program) -> Self {
         let mut bases = BTreeMap::new();
-        let mut cursor: u64 = 0x1000;
+        let mut cursor = ARRAY_ALIGNMENT;
         for (name, array) in &program.arrays {
             let bytes = array.size_bytes(&program.params).unwrap_or(0).max(0) as u64;
             bases.insert(name.to_string(), cursor);
-            cursor += (bytes + 0xFFF) & !0xFFF;
+            cursor += bytes.next_multiple_of(ARRAY_ALIGNMENT);
         }
         AddressMap { bases }
     }

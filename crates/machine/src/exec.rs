@@ -1272,6 +1272,139 @@ impl CompiledProgram {
         Some(((upper - lower + l.step - 1) / l.step) as u64)
     }
 
+    /// The byte translation per block trip of every array the block body
+    /// touches (`coeff(flat, block slot) · step · elem_size`, in array slot
+    /// order), when the block loop's trips provably stream translated
+    /// copies of one address pattern — the premise of the shard layer's
+    /// congruence classes ([`congruence_classes`](crate::shard::congruence_classes)).
+    /// `None` unless all of these hold:
+    ///
+    /// * **shape** — every access in the block body is affine, with one
+    ///   translation per array; no descendant loop bound references the
+    ///   block slot, and no descendant loop rebinds it. Each trip then walks
+    ///   the same loop structure, and access `k` of trip `t` lies at access
+    ///   `k` of trip 0 plus `t · Δ_array`;
+    /// * **in bounds** — every access of the first and the last trip lies
+    ///   inside its own array's extent. An affine offset reaches its
+    ///   extremes at those two trips, so every trip stays in bounds: no
+    ///   offset clamps at zero (the clamp is not a translation) and no
+    ///   access reaches into a neighbouring array.
+    pub(crate) fn block_translation(&self) -> Option<Vec<i64>> {
+        let trips = self.block_trips()?;
+        let [CNode::Loop(block)] = self.nodes.as_slice() else {
+            unreachable!("block_trips accepted the program shape")
+        };
+        let mut deltas = vec![None; self.arrays.len()];
+        if !self.translation_shape(&block.body, block.slot, block.step, &mut deltas) {
+            return None;
+        }
+        if trips > 0 {
+            let lower = block.lower.eval(&self.frame_init).ok()?;
+            let mut frame = self.frame_init.clone();
+            for trip in [0, trips - 1] {
+                frame[block.slot] = lower + trip as i64 * block.step;
+                if !self.in_bounds(&block.body, &mut frame) {
+                    return None;
+                }
+            }
+        }
+        Some(deltas.into_iter().flatten().collect())
+    }
+
+    /// The shape half of [`block_translation`](Self::block_translation):
+    /// records each array's byte translation per `step` of `frame[slot]`
+    /// into `deltas`, failing on a symbolic access, on two accesses of one
+    /// array that disagree, on a loop bound that references the slot, or on
+    /// a loop that rebinds it.
+    fn translation_shape(
+        &self,
+        nodes: &[CNode],
+        slot: usize,
+        step: i64,
+        deltas: &mut [Option<i64>],
+    ) -> bool {
+        nodes.iter().all(|node| match node {
+            CNode::Comp(c) => c.accesses.iter().all(|a| match a {
+                CAccess::Affine { array, flat, .. } => {
+                    let elem = self.arrays[*array].elem_size as i64;
+                    let Some(delta) = flat
+                        .coeff(slot)
+                        .checked_mul(step)
+                        .and_then(|d| d.checked_mul(elem))
+                    else {
+                        return false;
+                    };
+                    *deltas[*array].get_or_insert(delta) == delta
+                }
+                CAccess::Symbolic { .. } => false,
+            }),
+            CNode::Loop(inner) => {
+                inner.slot != slot
+                    && bound_independent(&inner.lower, slot)
+                    && bound_independent(&inner.upper, slot)
+                    && self.translation_shape(&inner.body, slot, step, deltas)
+            }
+            CNode::Call(_) => true,
+        })
+    }
+
+    /// Whether every access `nodes` stream under `frame` lies inside its
+    /// own array's extent. Walks loops like the streamer: a compiled
+    /// innermost loop is checked at its two endpoints (an affine offset of
+    /// one varying iterator is monotonic), a trace-invariant loop at one
+    /// iteration, any other loop at every iteration. Runs after the shape
+    /// check, so every access is affine.
+    fn in_bounds(&self, nodes: &[CNode], frame: &mut [i64]) -> bool {
+        let inside = |access: &CAccess, frame: &[i64], span: i64| {
+            let CAccess::Affine { array, flat, .. } = access else {
+                unreachable!("the shape check admits only affine accesses")
+            };
+            let len = self.arrays[*array]
+                .layout
+                .as_ref()
+                .map_or(0, |layout| layout.dims.iter().product::<i64>());
+            let first = flat.eval(frame);
+            (0..len).contains(&first) && (0..len).contains(&(first + span))
+        };
+        nodes.iter().all(|node| match node {
+            CNode::Comp(c) => c.accesses.iter().all(|a| inside(a, frame, 0)),
+            CNode::Call(_) => true,
+            CNode::Loop(l) => {
+                let (Ok(lower), Ok(upper)) = (l.lower.eval(frame), l.upper.eval(frame)) else {
+                    return false;
+                };
+                if upper <= lower {
+                    return true;
+                }
+                let trips = (upper - lower + l.step - 1) / l.step;
+                let saved = frame[l.slot];
+                frame[l.slot] = lower;
+                let ok = if l.inner {
+                    l.body.iter().all(|node| {
+                        let CNode::Comp(c) = node else {
+                            unreachable!("inner loops contain only computations")
+                        };
+                        c.accesses.iter().all(|a| {
+                            let CAccess::Affine { flat, .. } = a else {
+                                unreachable!("inner accesses are affine")
+                            };
+                            inside(a, frame, flat.coeff(l.slot) * l.step * (trips - 1))
+                        })
+                    })
+                } else if l.trace_invariant {
+                    self.in_bounds(&l.body, frame)
+                } else {
+                    (0..trips).all(|trip| {
+                        frame[l.slot] = lower + trip * l.step;
+                        self.in_bounds(&l.body, frame)
+                    })
+                };
+                frame[l.slot] = saved;
+                ok
+            }
+        })
+    }
+
     /// Streams trip indices `[lo, hi)` of the block loop — the sub-trace one
     /// shard of a block-granularity [`ShardPlan`](crate::shard::ShardPlan)
     /// simulates. Concatenating the streams of consecutive ranges covering
@@ -1538,6 +1671,33 @@ mod tests {
             flat.stream_block_range(0, 1, &mut Collect::default()),
             Err(MachineError::NotShardable(_))
         ));
+    }
+
+    #[test]
+    fn block_translation_exports_per_array_byte_strides() {
+        // A moves one 4-double row per trip, B is shared, C is 4-byte
+        // `float` data moving one row too; arrays come in name order.
+        let mut p = parse_program(
+            "program shifts { param NB = 5; param N = 4;
+               array A[NB * N]; array B[N]; array C[NB * N];
+               for b in 0..NB {
+                 for i in 0..N { B[i] = A[b * N + i] + C[b * N + i]; }
+               } }",
+        )
+        .unwrap();
+        p.arrays.get_mut(&Var::new("C")).unwrap().elem_size = 4;
+        let compiled = CompiledProgram::lower(&p).unwrap();
+        assert_eq!(compiled.block_translation(), Some(vec![32, 0, 16]));
+
+        // Reaching one row past A's end at the last trip breaks the proof.
+        let past_end = lower(
+            "program past { param NB = 5; param N = 4; array A[NB * N]; array B[N];
+               for b in 0..NB { for i in 0..N { B[i] = A[b * N + i + N]; } } }",
+        );
+        assert_eq!(past_end.block_translation(), None);
+        // No block loop, no translation.
+        let flat = lower("program f { param N = 8; array A[N]; for i in 0..N { A[i] = 1.0; } }");
+        assert_eq!(flat.block_translation(), None);
     }
 
     #[test]

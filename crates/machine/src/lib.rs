@@ -19,7 +19,8 @@
 //!   block (outermost independent iterator) granularity, one hierarchy
 //!   replica per shard on a worker pool, counters merged order-independently
 //!   — bit-identical at any worker count, and the engine behind the full
-//!   `NBLOCKS = 4096` CLOUDSC trace figures,
+//!   `NBLOCKS = 4096` CLOUDSC trace figures; block shards that provably
+//!   translate into one another share one simulation (congruence classes),
 //! * [`cost`] — a cache-aware analytical roofline that converts a scheduled
 //!   program into an estimated runtime on the configured machine
 //!   ([`config::MachineConfig`]), the quantity all figures compare,
@@ -82,7 +83,8 @@ pub use exec::CompiledProgram;
 pub use interp::{run_seeded, Interpreter, ProgramData};
 pub use shard::{
     effective_sim_workers, simulate_cache_sharded, simulate_cache_sharded_per_access,
-    simulate_cache_sharded_with_plan, ShardGranularity, ShardPlan, ShardedCacheStats,
+    simulate_cache_sharded_tallied, simulate_cache_sharded_with_plan, ShardGranularity, ShardPlan,
+    ShardTally, ShardedCacheStats,
 };
 pub use trace::{
     simulate_cache, simulate_cache_per_access, simulate_cache_reference, stream_accesses,

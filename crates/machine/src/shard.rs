@@ -6,6 +6,8 @@
 //! This module cuts a compiled program's trace into shards, streams each
 //! shard through its *own* [`CacheHierarchy`] replica on a worker pool, and
 //! merges the per-shard counters with an order-independent reduction.
+//! Shards whose traces provably translate into one another share one
+//! simulation (see [Congruence classes](#congruence-classes)).
 //!
 //! # Shard granularity
 //!
@@ -15,7 +17,7 @@
 //!   nested structure (the CLOUDSC `IBL` block loop after lowering), each
 //!   shard is one iteration of that loop, streamed directly via a
 //!   shard-ranged walk — no shard ever touches another shard's trace, and
-//!   the whole fan-out walks the trace exactly once.
+//!   the whole fan-out walks the trace at most once.
 //! * **Run groups** — any other shape falls back to cutting the stream of
 //!   *emission units* (lockstep run groups and bare accesses) into at most
 //!   [`RUN_GROUP_SHARDS`] contiguous windows. Each shard replays the walk
@@ -24,8 +26,9 @@
 //!
 //! # Determinism contract
 //!
-//! The plan is a pure function of the compiled program — never of the
-//! worker count — and each shard is simulated on a cold replica, so the
+//! The plan is a pure function of the compiled program, and its congruence
+//! classes of the program and the cache geometry — never of the worker
+//! count — and each shard is simulated on a cold replica, so the
 //! merged [`ShardedCacheStats`] are **bit-identical at any worker count**:
 //! `simulate_cache_sharded` with 8 workers equals the same call with 1
 //! worker, counter for counter. A plan with a single all-covering shard
@@ -39,18 +42,66 @@
 //! ways of a cold replica, so hits, misses and loads coincide with the
 //! monolithic counters; only `evicts` is defined per shard.
 //!
+//! # Congruence classes
+//!
+//! Most block shards need no simulation of their own. The CLOUDSC blocks
+//! stream one address pattern, translated by a fixed byte stride per block
+//! trip. On a cold replica, two traces that differ by a per-array
+//! translation that is a multiple of every level's set period
+//! (`sets × line`, a power of two) produce identical counters: the
+//! translation keeps every address's set index and line offset, and maps
+//! lines one-to-one, so every set sees the same hit, miss and eviction
+//! sequence, and every fast path of the simulator takes the same branches
+//! (`probes` included).
+//!
+//! [`simulate_cache_sharded_with_plan`] therefore groups block shards
+//! into congruence classes, simulates one representative per class and
+//! multiplies its accesses, probes and per-level [`CacheStats`] by the
+//! class size ([`simulate_cache_sharded_tallied`] also reports the class
+//! count and the accesses actually streamed as a [`ShardTally`]); the merged
+//! [`ShardedCacheStats`] (`shards()` included) equal the ungrouped
+//! result. The key of shard `[lo, hi)` is
+//! `(hi − lo, (lo · Δ_a) mod P for every array a)`, where `Δ_a` is array
+//! `a`'s byte translation per block trip and `P` is the largest
+//! `sets × line` over the levels: at the paper geometry, 140288 B per
+//! trip modulo 32 KiB leaves at most 32 classes of the 4096 shards.
+//!
+//! Grouping is a proof, not a heuristic. Shards keep the identity grouping
+//! (one class each) unless all four preconditions hold:
+//!
+//! * **Shape.** Every access in the block body is affine, with one
+//!   translation per array. No descendant loop bound references the block
+//!   slot, and no inner loop reuses it. Every trip then walks the same loop
+//!   structure and emits the same run groups, translated.
+//! * **Set and line period.** Every `Δ_a` difference within a class is
+//!   `≡ 0 mod P`. The key guarantees it by construction.
+//! * **No aliasing.** Every access of the first and the last block trip
+//!   lies inside its own array's extent. Affine offsets reach their
+//!   extremes at those two trips, so this covers every trip.
+//!   [`AddressMap`](crate::cache::AddressMap) lays arrays out disjoint and
+//!   4 KiB-aligned, and lines are at most that large, so distinct arrays
+//!   never share a line — even when arrays translate differently (the
+//!   DaCe/daisy `NPROMA` temporaries have `Δ = 0` while the fields move).
+//! * **No clamping.** The in-bounds check also rules out the trace's
+//!   `offset.max(0)` clamp, which is not a translation.
+//!
+//! Only the run-compressed driver groups. [`simulate_cache_sharded_per_access`]
+//! simulates every shard and stays the differential oracle of the
+//! grouping.
+//!
 //! The worker pool mirrors the clamping and panic containment of `daisy`'s
 //! `parallel_map_with` (which lives above this crate and cannot be reused
 //! directly): explicit worker requests clamp to the machine's available
-//! parallelism and the shard count, a panicking shard is retried
-//! sequentially on the caller, and results are merged by shard index.
+//! parallelism and the job count, a panicking job is retried
+//! sequentially on the caller, and results are merged by class index.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use loop_ir::program::Program;
 
-use crate::cache::{CacheHierarchy, CacheStats};
+use crate::cache::{congruence_period, CacheHierarchy, CacheStats};
 use crate::config::MachineConfig;
 use crate::error::Result;
 use crate::exec::CompiledProgram;
@@ -203,6 +254,66 @@ fn partition(total: u64, shards: usize) -> Vec<(u64, u64)> {
     cuts
 }
 
+/// The congruence classes of a plan's shards, in plan order of their
+/// representatives: each class's representative shard index and size.
+/// Shards in one class have traces that are translates of one another by
+/// a multiple of the cache geometry's translation period, so one
+/// cold-replica simulation stands for all of them (see the module docs
+/// for the proof and its preconditions). Run-group plans, and block plans
+/// whose program fails a precondition, get the identity grouping: one
+/// class per shard.
+///
+/// Block shard `[lo, hi)` (clamped to the trip count) is keyed by
+/// `(hi − lo, (lo · Δ_a) mod P for every array a)`, with `Δ_a` the
+/// lowering's per-trip byte translation
+/// (`CompiledProgram::block_translation`) and `P` the translation period
+/// ([`congruence_period`]).
+pub(crate) fn congruence_classes(
+    compiled: &CompiledProgram,
+    plan: &ShardPlan,
+    machine: &MachineConfig,
+) -> Vec<(usize, u64)> {
+    let congruence = match (plan.granularity(), compiled.block_trips()) {
+        (ShardGranularity::Blocks, Some(trips)) => congruence_period(machine).and_then(|period| {
+            compiled
+                .block_translation()
+                .map(|deltas| (trips, deltas, period))
+        }),
+        _ => None,
+    };
+    let Some((trips, deltas, period)) = congruence else {
+        return (0..plan.len()).map(|shard| (shard, 1)).collect();
+    };
+    let phase = |lo: u64, delta: i64| {
+        (i128::from(lo) * i128::from(delta)).rem_euclid(i128::from(period)) as u64
+    };
+    let mut index: HashMap<(u64, Vec<u64>), usize> = HashMap::new();
+    let mut classes: Vec<(usize, u64)> = Vec::new();
+    for (shard, &(lo, hi)) in plan.shards().iter().enumerate() {
+        let lo = lo.min(trips);
+        let len = hi.min(trips).saturating_sub(lo);
+        match index.entry((len, deltas.iter().map(|&d| phase(lo, d)).collect())) {
+            Entry::Occupied(class) => classes[*class.get()].1 += 1,
+            Entry::Vacant(slot) => {
+                slot.insert(classes.len());
+                classes.push((shard, 1));
+            }
+        }
+    }
+    classes
+}
+
+/// The work one sharded simulation actually did, beside the counters it
+/// reports ([`ShardedCacheStats`] describe every shard; congruence classes
+/// let the driver simulate fewer).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ShardTally {
+    /// Congruence classes: the shards simulated, one representative each.
+    pub classes: usize,
+    /// Accesses the class representatives streamed.
+    pub simulated_accesses: u64,
+}
+
 /// The merged counters of one sharded simulation. `PartialEq` compares
 /// every counter, so asserting two results equal *is* the bit-identity
 /// check of the determinism contract.
@@ -265,22 +376,46 @@ pub fn simulate_cache_sharded(
     simulate_cache_sharded_with_plan(&compiled, &plan, machine, workers)
 }
 
-/// [`simulate_cache_sharded`] with an explicit plan: streams each shard
-/// through its own cold [`CacheHierarchy`] replica on the worker pool and
-/// merges the counters by shard index (field-wise sums, so any worker
-/// schedule produces bit-identical totals).
+/// [`simulate_cache_sharded`] with an explicit plan: groups the shards
+/// into congruence classes, streams each class representative through its
+/// own cold [`CacheHierarchy`] replica on the worker pool, and merges the
+/// counters — each representative's scaled by its class size — by class
+/// index (field-wise sums, so any worker schedule produces bit-identical
+/// totals). The result equals simulating every shard on its own replica;
+/// see the module docs for the congruence proof.
 ///
 /// # Errors
-/// Trace-generation errors; the first failing shard (in plan order) wins.
+/// Trace-generation errors; the first failing representative (in plan
+/// order) wins.
 pub fn simulate_cache_sharded_with_plan(
     compiled: &CompiledProgram,
     plan: &ShardPlan,
     machine: &MachineConfig,
     workers: usize,
 ) -> Result<ShardedCacheStats> {
+    simulate_cache_sharded_tallied(compiled, plan, machine, workers).map(|(stats, _)| stats)
+}
+
+/// [`simulate_cache_sharded_with_plan`], also returning the driver's
+/// [`ShardTally`]: the class count and the accesses the representatives
+/// streamed, for reporting simulation throughput truthfully. The same
+/// tally goes to telemetry as `machine.shard.classes` and
+/// `machine.shard.simulated_accesses`.
+///
+/// # Errors
+/// Trace-generation errors; the first failing representative (in plan
+/// order) wins.
+pub fn simulate_cache_sharded_tallied(
+    compiled: &CompiledProgram,
+    plan: &ShardPlan,
+    machine: &MachineConfig,
+    workers: usize,
+) -> Result<(ShardedCacheStats, ShardTally)> {
     let _span = telemetry::span("simulate_cache_sharded");
-    let shard_results = parallel_map_shards(workers, plan.shards(), |&(lo, hi)| {
-        let _shard_span = telemetry::span("simulate_cache_sharded.shard");
+    let classes = congruence_classes(compiled, plan, machine);
+    let class_results = parallel_map_shards(workers, &classes, |&(rep, _)| {
+        let _shard_span = telemetry::span("shard");
+        let (lo, hi) = plan.shards()[rep];
         let mut cache = CacheHierarchy::from_machine(machine);
         simulate_shard(compiled, plan.granularity(), lo, hi, &mut cache)?;
         Ok::<_, crate::error::MachineError>((
@@ -298,15 +433,20 @@ pub fn simulate_cache_sharded_with_plan(
         shards: plan.len(),
         granularity: plan.granularity(),
     };
-    for result in shard_results {
+    let mut tally = ShardTally {
+        classes: classes.len(),
+        simulated_accesses: 0,
+    };
+    for (&(_, size), result) in classes.iter().zip(class_results) {
         let (accesses, probes, l1, l2) = result?;
-        merged.accesses += accesses;
-        merged.probes += probes;
-        merged.l1.merge(&l1);
-        merged.l2.merge(&l2);
+        tally.simulated_accesses += accesses;
+        merged.accesses += accesses * size;
+        merged.probes += probes * size;
+        merged.l1.merge(&l1.times(size));
+        merged.l2.merge(&l2.times(size));
     }
-    record_sharded_counters(&merged);
-    Ok(merged)
+    record_sharded_counters(&merged, &tally);
+    Ok((merged, tally))
 }
 
 /// The sequential per-access oracle of the differential suite: the same
@@ -387,15 +527,19 @@ fn simulate_shard(
 }
 
 /// Publishes the counters of one finished sharded simulation, at the
-/// simulation boundary only (the per-shard hot paths carry no telemetry
-/// cost beyond one span each).
-fn record_sharded_counters(stats: &ShardedCacheStats) {
+/// simulation boundary only (the per-class hot paths carry no telemetry
+/// cost beyond one span each). `machine.shard.accesses` counts the
+/// accesses the result represents, `machine.shard.simulated_accesses` the
+/// ones the class representatives actually streamed.
+fn record_sharded_counters(stats: &ShardedCacheStats, tally: &ShardTally) {
     if !telemetry::enabled() {
         return;
     }
     telemetry::counter("machine.shard.simulations", 1);
     telemetry::counter("machine.shard.shards", stats.shards as u64);
+    telemetry::counter("machine.shard.classes", tally.classes as u64);
     telemetry::counter("machine.shard.accesses", stats.accesses);
+    telemetry::counter("machine.shard.simulated_accesses", tally.simulated_accesses);
 }
 
 /// Counts trace emission units — each lockstep run group, standalone run
@@ -711,6 +855,48 @@ mod tests {
                 .unwrap()
                 .accesses()
         );
+    }
+
+    #[test]
+    fn congruent_shards_group_by_translation_phase() {
+        // 128 B per trip against the tiny machine's 1 KiB period: 8 classes
+        // of 12 shards, represented by the first 8 trips, the first four
+        // of size 2.
+        let machine = MachineConfig::tiny_for_tests();
+        let compiled = CompiledProgram::lower(&blocked_program(12)).unwrap();
+        let plan = ShardPlan::for_program(&compiled).unwrap();
+        let sizes = [2, 2, 2, 2, 1, 1, 1, 1];
+        assert_eq!(
+            congruence_classes(&compiled, &plan, &machine),
+            sizes.into_iter().enumerate().collect::<Vec<_>>()
+        );
+        let (stats, tally) = simulate_cache_sharded_tallied(&compiled, &plan, &machine, 1).unwrap();
+        assert_eq!(tally.classes, 8);
+        assert_eq!(tally.simulated_accesses, stats.accesses() / 12 * 8);
+    }
+
+    #[test]
+    fn run_group_plans_and_non_congruent_blocks_keep_one_class_per_shard() {
+        let machine = MachineConfig::tiny_for_tests();
+        let run_groups = CompiledProgram::lower(&multi_nest_program()).unwrap();
+        // `A[b * N + i - 1]` clamps at trip 0, so the blocks stay apart.
+        let clamped = CompiledProgram::lower(
+            &parse_program(
+                "program clamped { param NB = 9; param N = 16; array A[NB * N]; array B[N];
+                   for b in 0..NB { for i in 0..N { B[i] = A[b * N + i - 1]; } } }",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        for compiled in [run_groups, clamped] {
+            let plan = ShardPlan::for_program(&compiled).unwrap();
+            let identity: Vec<(usize, u64)> = (0..plan.len()).map(|shard| (shard, 1)).collect();
+            assert_eq!(congruence_classes(&compiled, &plan, &machine), identity);
+            let (stats, tally) =
+                simulate_cache_sharded_tallied(&compiled, &plan, &machine, 1).unwrap();
+            assert_eq!(tally.classes, plan.len());
+            assert_eq!(tally.simulated_accesses, stats.accesses());
+        }
     }
 
     #[test]

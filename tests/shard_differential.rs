@@ -17,16 +17,27 @@
 //!   run compression probes once per distinct line, the oracle once per
 //!   access (the same exclusion `cache_differential` makes).
 //!
+//! * **congruence grouping** — the driver simulates one representative per
+//!   congruence class and scales it by the class size; the
+//!   whole result, `probes` included, must equal the sum of the plan's
+//!   shards simulated on single-shard plans of their own (one shard is one
+//!   class, so nothing is grouped there). One named test per precondition
+//!   of the congruence proof builds a program that the key alone would
+//!   group wrongly, and checks that it keeps one class per shard.
+//!
 //! A single all-covering shard must degenerate to exactly the monolithic
 //! [`machine::simulate_cache`], and zero-trip block loops to an empty plan
 //! with all-zero counters.
 
+use loop_ir::expr::Var;
+use loop_ir::nest::Node;
 use loop_ir::parser::parse_program;
 use loop_ir::program::Program;
 use machine::{
     simulate_cache, simulate_cache_per_access, simulate_cache_sharded,
-    simulate_cache_sharded_per_access, simulate_cache_sharded_with_plan, CompiledProgram,
-    MachineConfig, ShardGranularity, ShardPlan, ShardedCacheStats,
+    simulate_cache_sharded_per_access, simulate_cache_sharded_tallied,
+    simulate_cache_sharded_with_plan, CacheStats, CompiledProgram, MachineConfig, ShardGranularity,
+    ShardPlan, ShardTally, ShardedCacheStats,
 };
 use polybench::cloudsc::{full_model, CloudscSizes, CloudscVariant};
 use proptest::{prop_assert_eq, proptest, ProptestConfig, Strategy};
@@ -70,6 +81,73 @@ fn assert_counters_match(label: &str, fast: &ShardedCacheStats, oracle: &Sharded
     assert_eq!(fast.l1(), oracle.l1(), "{label}: L1 counters");
     assert_eq!(fast.l2(), oracle.l2(), "{label}: L2 counters");
     assert_eq!(fast.shards(), oracle.shards(), "{label}: shard counts");
+}
+
+/// The sum of `plan`'s shards, each simulated on a single-shard plan of
+/// its own, as `(accesses, probes, L1, L2)`: the ungrouped reference of
+/// the congruence grouping.
+fn ungrouped(
+    compiled: &CompiledProgram,
+    plan: &ShardPlan,
+    machine: &MachineConfig,
+) -> (u64, u64, CacheStats, CacheStats) {
+    let mut sum = (0, 0, CacheStats::default(), CacheStats::default());
+    for &cut in plan.shards() {
+        let single = match plan.granularity() {
+            ShardGranularity::Blocks => ShardPlan::blocks(vec![cut]),
+            ShardGranularity::RunGroups => ShardPlan::run_groups(vec![cut]),
+        };
+        let s = simulate_cache_sharded_with_plan(compiled, &single, machine, 1).unwrap();
+        sum.0 += s.accesses();
+        sum.1 += s.probes();
+        sum.2.merge(&s.l1());
+        sum.3.merge(&s.l2());
+    }
+    sum
+}
+
+/// Asserts the grouped simulation of `plan` equals its ungrouped sum on
+/// every field (`probes` included) and the per-access oracle on every
+/// counter; returns the grouped result and the driver's tally for the
+/// caller's class-count checks.
+fn assert_grouping_is_exact(
+    label: &str,
+    compiled: &CompiledProgram,
+    plan: &ShardPlan,
+    machine: &MachineConfig,
+) -> (ShardedCacheStats, ShardTally) {
+    let (grouped, tally) = simulate_cache_sharded_tallied(compiled, plan, machine, 2).unwrap();
+    assert_eq!(
+        (
+            grouped.accesses(),
+            grouped.probes(),
+            grouped.l1(),
+            grouped.l2()
+        ),
+        ungrouped(compiled, plan, machine),
+        "{label}: grouped vs ungrouped shards"
+    );
+    assert_eq!(grouped.shards(), plan.len(), "{label}: shard count");
+    assert_eq!(grouped.granularity(), plan.granularity(), "{label}");
+    let oracle = simulate_cache_sharded_per_access(compiled, plan, machine).unwrap();
+    assert_counters_match(label, &grouped, &oracle);
+    (grouped, tally)
+}
+
+/// Asserts that a program failing one congruence precondition keeps the
+/// identity grouping — one class per block shard — and still simulates
+/// exactly. On the tiny machine (translation period 1 KiB) every program
+/// below translates each array by a multiple of the period, or not at
+/// all, so the grouping key alone would put all its shards in one class.
+fn assert_falls_back(label: &str, program: &Program) {
+    let machine = MachineConfig::tiny_for_tests();
+    let compiled = CompiledProgram::lower(program).unwrap();
+    let plan = ShardPlan::for_program(&compiled).unwrap();
+    assert_eq!(plan.granularity(), ShardGranularity::Blocks, "{label}");
+    assert!(plan.len() > 1, "{label}: several block shards");
+    let (stats, tally) = assert_grouping_is_exact(label, &compiled, &plan, &machine);
+    assert_eq!(tally.classes, plan.len(), "{label}: one class per shard");
+    assert_eq!(tally.simulated_accesses, stats.accesses(), "{label}");
 }
 
 /// Contiguous ragged cuts over `nb` blocks: chunks of `chunk` trips, a
@@ -119,8 +197,151 @@ proptest! {
             // Run compression, shard by shard, against the per-access oracle.
             let oracle = simulate_cache_sharded_per_access(&compiled, &plan, &machine).unwrap();
             assert_counters_match("blocked nest", &baseline, &oracle);
+            // Congruence grouping: the whole result equals the ungrouped
+            // shards, probes included.
+            assert_grouping_is_exact("blocked nest", &compiled, &plan, &machine);
         }
     }
+}
+
+#[test]
+fn congruent_block_shards_simulate_one_representative_per_class() {
+    // 16 doubles per block row: every array but the shared C moves 128 B
+    // per trip, so the tiny machine's 1 KiB period leaves 8 classes of 20
+    // shards.
+    let machine = MachineConfig::tiny_for_tests();
+    let program = blocked_program(20, 16, 4);
+    let compiled = CompiledProgram::lower(&program).unwrap();
+    let plan = ShardPlan::for_program(&compiled).unwrap();
+    let (stats, tally) = assert_grouping_is_exact("blocked nest", &compiled, &plan, &machine);
+    assert_eq!(tally.classes, 8);
+    assert_eq!(tally.simulated_accesses, stats.accesses() / 20 * 8);
+
+    // Ragged cuts group by length as well as by phase: four-trip shards
+    // alternate between two phases, and the clamped cut past the end is
+    // empty.
+    let ragged = ShardPlan::blocks(ragged_cuts(20, 4));
+    let (_, tally) = assert_grouping_is_exact("ragged blocked nest", &compiled, &ragged, &machine);
+    assert_eq!(tally.classes, 3);
+}
+
+#[test]
+fn cloudsc_full_models_group_into_congruence_classes() {
+    // Mini rows of 5 x 8 doubles move every field 320 B per block, which
+    // repeats modulo the tiny machine's 1 KiB period every 16 blocks; the
+    // DaCe temporaries do not move at all.
+    let machine = MachineConfig::tiny_for_tests();
+    for variant in [CloudscVariant::Fortran, CloudscVariant::Dace] {
+        let program = full_model(
+            variant,
+            CloudscSizes {
+                nblocks: 40,
+                ..CloudscSizes::mini()
+            },
+        );
+        let compiled = CompiledProgram::lower(&program).unwrap();
+        let plan = ShardPlan::for_program(&compiled).unwrap();
+        let (_, tally) = assert_grouping_is_exact(&program.name, &compiled, &plan, &machine);
+        assert_eq!(tally.classes, 16, "{}", program.name);
+    }
+}
+
+#[test]
+fn block_dependent_inner_bounds_fall_back() {
+    // Trip b runs b + 1 iterations: the loop structure changes per trip.
+    let program = parse_program(
+        "program triangular { param NB = 6; param N = 8; array A[N];
+           for b in 0..NB { for i in 0..b + 1 { A[i] = A[i] + 1.0; } } }",
+    )
+    .unwrap();
+    assert_falls_back("triangular", &program);
+}
+
+#[test]
+fn symbolic_subscripts_fall_back() {
+    let program = parse_program(
+        "program symbolic { param NB = 6; param N = 16; array A[NB * N]; array B[N];
+           for b in 0..NB { for i in 0..N { B[i] = A[(b * N + i) / 2]; } } }",
+    )
+    .unwrap();
+    assert_falls_back("symbolic", &program);
+}
+
+#[test]
+fn two_translations_of_one_array_fall_back() {
+    // `A[b]` and `A[2 * b]`, scaled so both translations are multiples of
+    // the period: the two accesses share a line at trip 0 only.
+    let program = parse_program(
+        "program twostrides { param NB = 6; param N = 8; array A[NB * 256]; array B[N];
+           for b in 0..NB { for i in 0..N { B[i] = A[128 * b] + A[256 * b]; } } }",
+    )
+    .unwrap();
+    assert_falls_back("two translations", &program);
+}
+
+#[test]
+fn clamped_negative_offsets_fall_back() {
+    // Trip 0 reads A[-4..0], which the trace clamps to A[0].
+    let program = parse_program(
+        "program clamped { param NB = 6; param N = 16; array A[NB * 128]; array B[N];
+           for b in 0..NB { for i in 0..N { B[i] = A[b * 128 + i - 4]; } } }",
+    )
+    .unwrap();
+    assert_falls_back("clamp", &program);
+}
+
+#[test]
+fn out_of_bounds_accesses_into_the_next_array_fall_back() {
+    // A spans exactly 8 KiB, so B starts right behind it: the last trip's
+    // A reads land on B's lines, which the same trip also touches.
+    let program = parse_program(
+        "program aliasing { param NB = 8; param N = 16; array A[NB * 128]; array B[N];
+           for b in 0..NB { for i in 0..N { B[i] = A[b * 128 + 128 + i]; } } }",
+    )
+    .unwrap();
+    assert_falls_back("aliasing", &program);
+}
+
+#[test]
+fn inner_loops_rebinding_the_block_iterator_fall_back() {
+    // The inner loop reuses the block iterator's slot: its A access moves
+    // with the inner value, not with the block, while the statement in
+    // front of it moves with the block. The parser rejects the shadowing,
+    // so the program is renamed after parsing.
+    let mut program = parse_program(
+        "program rebind { param NB = 12; param N = 8; array A[NB * 128]; array B[N * 128];
+           for b in 0..NB {
+             A[b * 128] = 1.0;
+             for c in 0..N { B[c * 128] = A[c * 128]; }
+           } }",
+    )
+    .unwrap();
+    let (from, to) = (Var::new("c"), Var::new("b"));
+    let Node::Loop(block) = &mut program.body[0] else {
+        panic!("block loop")
+    };
+    let Node::Loop(inner) = &mut block.body[1] else {
+        panic!("inner loop")
+    };
+    inner.iter = to.clone();
+    for node in &mut inner.body {
+        if let Node::Computation(c) = node {
+            *c = c.rename_iterator(&from, &to);
+        }
+    }
+    assert_falls_back("rebinding", &program);
+}
+
+#[test]
+fn translations_off_the_period_keep_one_class_per_shard() {
+    // The fdtd-2d shape: F[t] moves 8 B per trip while A stays put, so no
+    // two of the 6 trips share a phase.
+    let program = parse_program(
+        "program offperiod { param T = 6; param N = 16; array A[N]; array F[T];
+           for t in 0..T { for i in 0..N { A[i] = A[i] + F[t]; } } }",
+    )
+    .unwrap();
+    assert_falls_back("off-period translation", &program);
 }
 
 #[test]
