@@ -25,7 +25,9 @@
 //!   included), and match the per-access sharded oracle
 //!   [`machine::simulate_cache_sharded_per_access`] on every counter but
 //!   `probes` — on the program and on a blocked twin whose arrays translate
-//!   by a period multiple per block trip, so the grouping really groups.
+//!   by a period multiple per block trip, so the grouping really groups,
+//!   and which reads a point array one scalar per trip, on one line or
+//!   straddling two.
 //! * **normalize** — the normalization pipeline: the normalized program
 //!   validates, normalization is idempotent, the normalized program still
 //!   agrees with *its* references (exec + trace), and its results match
@@ -446,19 +448,25 @@ fn shard_oracle(program: &Program) -> std::result::Result<(), String> {
 /// every array gaining a leading dimension that trip `r` indexes at
 /// `r · k`, with `k` the smallest factor that makes the array's per-trip
 /// translation a multiple of 4 KiB (hence of the tiny machine's 1 KiB
-/// translation period). Generated programs rarely translate by a period
-/// multiple on their own; this twin puts all its block shards in one
-/// congruence class exactly when the grouping's preconditions hold.
-/// `None` for programs with library calls or unsized arrays.
+/// translation period). Every statement also reads the point array
+/// `shard_point[c + r]`, one scalar per trip moving 8 B per trip, with `c`
+/// the program's total element count modulo 8: the three trips read one
+/// line when `c ≤ 5` and straddle two otherwise. Generated programs rarely
+/// translate by a period multiple on their own; this twin puts its block
+/// shards in one congruence class per point line exactly when the
+/// grouping's preconditions hold. `None` for programs with library calls
+/// or unsized arrays.
 fn translated_blocks(program: &Program) -> Option<Program> {
     let r = Var::new("shard_block");
     let mut scale = std::collections::BTreeMap::new();
     let mut blocked = program.clone();
+    let mut elements = 0;
     for (name, array) in &mut blocked.arrays {
-        let bytes = array.len(&program.params)? * array.elem_size as i64;
-        let k = 4096i64 >> bytes.trailing_zeros().min(12);
+        let len = array.len(&program.params)?;
+        let k = 4096i64 >> (len * array.elem_size as i64).trailing_zeros().min(12);
         array.dims.insert(0, cst(SHARD_TRIPS * k));
         scale.insert(name.clone(), k);
+        elements += len;
     }
     let shift = |a: &ArrayRef| {
         let mut shifted = a.clone();
@@ -467,24 +475,40 @@ fn translated_blocks(program: &Program) -> Option<Program> {
             .insert(0, cst(scale[&a.array]) * var(r.as_str()));
         shifted
     };
-    let body = shift_nodes(&program.body, &shift)?;
+    let c = elements.rem_euclid(8);
+    let point = Var::new("shard_point");
+    blocked.arrays.insert(
+        point.clone(),
+        Array::new(point.clone(), vec![cst(c + SHARD_TRIPS)]),
+    );
+    let point_read = load(point, vec![cst(c) + var(r.as_str())]);
+    let body = shift_nodes(&program.body, &shift, &point_read)?;
     blocked.body = vec![for_loop(r.clone(), cst(0), cst(SHARD_TRIPS), body)];
     blocked.validate().ok().map(|()| blocked)
 }
 
-/// Rewrites every array reference of `nodes` through `shift`; `None` when
-/// a library call (whose operands are whole arrays) is present.
-fn shift_nodes(nodes: &[Node], shift: &impl Fn(&ArrayRef) -> ArrayRef) -> Option<Vec<Node>> {
+/// Rewrites every array reference of `nodes` through `shift` and adds
+/// `extra` to every statement's value; `None` when a library call (whose
+/// operands are whole arrays) is present.
+fn shift_nodes(
+    nodes: &[Node],
+    shift: &impl Fn(&ArrayRef) -> ArrayRef,
+    extra: &ScalarExpr,
+) -> Option<Vec<Node>> {
     nodes
         .iter()
         .map(|node| match node {
             Node::Loop(l) => Some(Node::Loop(Loop {
-                body: shift_nodes(&l.body, shift)?,
+                body: shift_nodes(&l.body, shift, extra)?,
                 ..l.clone()
             })),
             Node::Computation(c) => Some(Node::Computation(Computation {
                 target: shift(&c.target),
-                value: shift_loads(&c.value, shift),
+                value: ScalarExpr::Binary(
+                    BinOp::Add,
+                    Box::new(shift_loads(&c.value, shift)),
+                    Box::new(extra.clone()),
+                ),
                 ..c.clone()
             })),
             Node::Call(_) => None,
@@ -716,6 +740,28 @@ mod tests {
                 loop_ir::printer::print_program(&p)
             );
         }
+    }
+
+    #[test]
+    fn translated_twins_read_their_point_array_on_one_line_or_two() {
+        // The twin's point read must reach both key cases: three trips on
+        // one line of `shard_point` (one class) and straddling two (two).
+        let machine = MachineConfig::tiny_for_tests();
+        let mut class_counts = std::collections::BTreeSet::new();
+        for seed in 0..40 {
+            let Some(twin) = translated_blocks(&generate(seed, &GenConfig::default())) else {
+                continue;
+            };
+            let compiled = CompiledProgram::lower(&twin).unwrap();
+            let plan = ShardPlan::for_program(&compiled).unwrap();
+            let (_, tally) =
+                machine::simulate_cache_sharded_tallied(&compiled, &plan, &machine, 1).unwrap();
+            class_counts.insert(tally.classes);
+        }
+        assert!(
+            class_counts.contains(&1) && class_counts.contains(&2),
+            "class counts seen: {class_counts:?}"
+        );
     }
 
     #[test]

@@ -125,16 +125,19 @@ fn level_geometry(capacity: usize, assoc: usize, line_bytes: usize) -> (usize, u
     (assoc, line_bytes, nearest_pow2(lines / assoc as u64))
 }
 
-/// The translation period of `machine`'s simulated hierarchy: the largest
+/// The translation period of `machine`'s simulated hierarchy and its line
+/// size, `(period, line_bytes)`. The period is the largest
 /// `set_count × line_bytes` over both levels. Every level's period is a
 /// power of two dividing it, so translating addresses by a multiple of it
-/// keeps each address's set index and line offset at every level. `None`
-/// when a line is larger than the [`AddressMap`] array alignment, where
-/// one line could hold the tail of one array and the head of the next.
-pub(crate) fn congruence_period(machine: &MachineConfig) -> Option<u64> {
+/// keeps each address's set index and line offset at every level, and two
+/// lines whose numbers differ by a multiple of `period / line_bytes` share
+/// their set at every level. `None` when a line is larger than the
+/// [`AddressMap`] array alignment, where one line could hold the tail of
+/// one array and the head of the next.
+pub(crate) fn congruence_geometry(machine: &MachineConfig) -> Option<(u64, u64)> {
     let (_, line, l1_sets) = level_geometry(machine.l1_bytes, machine.l1_assoc, machine.line_bytes);
     let (_, _, l2_sets) = level_geometry(machine.l2_bytes, machine.l2_assoc, machine.line_bytes);
-    (line <= ARRAY_ALIGNMENT).then(|| line * l1_sets.max(l2_sets))
+    (line <= ARRAY_ALIGNMENT).then(|| (line * l1_sets.max(l2_sets), line))
 }
 
 /// One level of a set-associative LRU cache: per set, the line tags in true

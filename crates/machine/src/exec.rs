@@ -1209,6 +1209,20 @@ fn eval_scalar_buffered(e: &CScalar, loads: &[f64], frame: &[i64]) -> Result<f64
     })
 }
 
+/// One array's motion per block trip, as
+/// [`CompiledProgram::block_translation`] exports it for the shard layer's
+/// congruence key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ArrayTranslation {
+    /// Byte translation per block trip.
+    pub(crate) delta: i64,
+    /// `Some(byte offset from the array base at trip 0)` for a *point
+    /// array*: every block-body access of the array shares one flat offset
+    /// with no term on a loop slot inside the block loop, so each trip
+    /// touches exactly one address of it.
+    pub(crate) point: Option<i64>,
+}
+
 // ---------------------------------------------------------------------------
 // Trace streaming
 // ---------------------------------------------------------------------------
@@ -1272,12 +1286,14 @@ impl CompiledProgram {
         Some(((upper - lower + l.step - 1) / l.step) as u64)
     }
 
-    /// The byte translation per block trip of every array the block body
-    /// touches (`coeff(flat, block slot) · step · elem_size`, in array slot
-    /// order), when the block loop's trips provably stream translated
-    /// copies of one address pattern — the premise of the shard layer's
-    /// congruence classes ([`congruence_classes`](crate::shard::congruence_classes)).
-    /// `None` unless all of these hold:
+    /// The motion per block trip of every array the block body touches (in
+    /// array slot order), when the block loop's trips provably stream
+    /// translated copies of one address pattern — the premise of the shard
+    /// layer's congruence classes
+    /// ([`congruence_classes`](crate::shard::congruence_classes)). Each
+    /// array's [`ArrayTranslation`] carries its byte translation
+    /// `coeff(flat, block slot) · step · elem_size` and, for a point array,
+    /// its byte offset at trip 0. `None` unless all of these hold:
     ///
     /// * **shape** — every access in the block body is affine, with one
     ///   translation per array; no descendant loop bound references the
@@ -1289,18 +1305,27 @@ impl CompiledProgram {
     ///   extremes at those two trips, so every trip stays in bounds: no
     ///   offset clamps at zero (the clamp is not a translation) and no
     ///   access reaches into a neighbouring array.
-    pub(crate) fn block_translation(&self) -> Option<Vec<i64>> {
+    pub(crate) fn block_translation(&self) -> Option<Vec<ArrayTranslation>> {
         let trips = self.block_trips()?;
         let [CNode::Loop(block)] = self.nodes.as_slice() else {
             unreachable!("block_trips accepted the program shape")
         };
-        let mut deltas = vec![None; self.arrays.len()];
-        if !self.translation_shape(&block.body, block.slot, block.step, &mut deltas) {
+        let mut frame = self.frame_init.clone();
+        frame[block.slot] = block.lower.eval(&self.frame_init).ok()?;
+        let mut arrays = vec![None; self.arrays.len()];
+        let mut enclosing = Vec::new();
+        if !self.translation_shape(
+            &block.body,
+            block.slot,
+            block.step,
+            &frame,
+            &mut enclosing,
+            &mut arrays,
+        ) {
             return None;
         }
         if trips > 0 {
-            let lower = block.lower.eval(&self.frame_init).ok()?;
-            let mut frame = self.frame_init.clone();
+            let lower = frame[block.slot];
             for trip in [0, trips - 1] {
                 frame[block.slot] = lower + trip as i64 * block.step;
                 if !self.in_bounds(&block.body, &mut frame) {
@@ -1308,20 +1333,26 @@ impl CompiledProgram {
                 }
             }
         }
-        Some(deltas.into_iter().flatten().collect())
+        Some(arrays.into_iter().flatten().collect())
     }
 
     /// The shape half of [`block_translation`](Self::block_translation):
-    /// records each array's byte translation per `step` of `frame[slot]`
-    /// into `deltas`, failing on a symbolic access, on two accesses of one
-    /// array that disagree, on a loop bound that references the slot, or on
-    /// a loop that rebinds it.
+    /// records each array's byte translation per `step` of the block `slot`
+    /// and its point offset under `trip0` (the frame of the block's first
+    /// trip) into `arrays`, failing on a symbolic access, on two accesses of
+    /// one array that disagree on the translation, on a loop bound that
+    /// references the block slot, or on a loop that rebinds it. `enclosing`
+    /// holds the slots of the loops between the block loop and `nodes`: an
+    /// access with a term on one of them touches more than one address per
+    /// trip, so its array is no point array.
     fn translation_shape(
         &self,
         nodes: &[CNode],
         slot: usize,
         step: i64,
-        deltas: &mut [Option<i64>],
+        trip0: &[i64],
+        enclosing: &mut Vec<usize>,
+        arrays: &mut [Option<ArrayTranslation>],
     ) -> bool {
         nodes.iter().all(|node| match node {
             CNode::Comp(c) => c.accesses.iter().all(|a| match a {
@@ -1334,7 +1365,16 @@ impl CompiledProgram {
                     else {
                         return false;
                     };
-                    *deltas[*array].get_or_insert(delta) == delta
+                    let point = enclosing
+                        .iter()
+                        .all(|&inner| flat.coeff(inner) == 0)
+                        .then(|| flat.eval(trip0).checked_mul(elem))
+                        .flatten();
+                    let seen = arrays[*array].get_or_insert(ArrayTranslation { delta, point });
+                    if seen.point != point {
+                        seen.point = None;
+                    }
+                    seen.delta == delta
                 }
                 CAccess::Symbolic { .. } => false,
             }),
@@ -1342,7 +1382,19 @@ impl CompiledProgram {
                 inner.slot != slot
                     && bound_independent(&inner.lower, slot)
                     && bound_independent(&inner.upper, slot)
-                    && self.translation_shape(&inner.body, slot, step, deltas)
+                    && {
+                        enclosing.push(inner.slot);
+                        let ok = self.translation_shape(
+                            &inner.body,
+                            slot,
+                            step,
+                            trip0,
+                            enclosing,
+                            arrays,
+                        );
+                        enclosing.pop();
+                        ok
+                    }
             }
             CNode::Call(_) => true,
         })
@@ -1687,7 +1739,10 @@ mod tests {
         .unwrap();
         p.arrays.get_mut(&Var::new("C")).unwrap().elem_size = 4;
         let compiled = CompiledProgram::lower(&p).unwrap();
-        assert_eq!(compiled.block_translation(), Some(vec![32, 0, 16]));
+        let deltas = compiled
+            .block_translation()
+            .map(|arrays| arrays.iter().map(|a| a.delta).collect::<Vec<_>>());
+        assert_eq!(deltas, Some(vec![32, 0, 16]));
 
         // Reaching one row past A's end at the last trip breaks the proof.
         let past_end = lower(
@@ -1698,6 +1753,37 @@ mod tests {
         // No block loop, no translation.
         let flat = lower("program f { param N = 8; array A[N]; for i in 0..N { A[i] = 1.0; } }");
         assert_eq!(flat.block_translation(), None);
+    }
+
+    #[test]
+    fn block_translation_exports_point_offsets_at_the_first_trip() {
+        // Arrays in name order. A and H span the inner loop: no point. F is
+        // read at one subscript, in and outside the inner loop: a point at
+        // trip 0 (b = 1) of element 3. G is read at two subscripts: no
+        // point. S is a fixed 4-byte scalar: a point of element 3 that
+        // never moves.
+        let mut p = parse_program(
+            "program points { param NB = 5; param N = 4;
+               array A[N]; array F[NB + 4]; array G[NB + 1]; array H[NB + N]; array S[4];
+               for b in 1..NB {
+                 S[3] = F[b + 2];
+                 for i in 0..N { A[i] = F[b + 2] + G[b] + G[b + 1] + H[b + i] + S[3]; }
+               } }",
+        )
+        .unwrap();
+        p.arrays.get_mut(&Var::new("S")).unwrap().elem_size = 4;
+        let compiled = CompiledProgram::lower(&p).unwrap();
+        let translation = |delta, point| ArrayTranslation { delta, point };
+        assert_eq!(
+            compiled.block_translation(),
+            Some(vec![
+                translation(0, None),
+                translation(8, Some(24)),
+                translation(8, None),
+                translation(8, None),
+                translation(0, Some(12)),
+            ])
+        );
     }
 
     #[test]

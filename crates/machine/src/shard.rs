@@ -64,10 +64,12 @@
 //! `(hi − lo, (lo · Δ_a) mod P for every array a)`, where `Δ_a` is array
 //! `a`'s byte translation per block trip and `P` is the largest
 //! `sets × line` over the levels: at the paper geometry, 140288 B per
-//! trip modulo 32 KiB leaves at most 32 classes of the 4096 shards.
+//! trip modulo 32 KiB leaves at most 32 classes of the 4096 shards. Point
+//! arrays (the fifth bullet below) key by their line instead.
 //!
 //! Grouping is a proof, not a heuristic. Shards keep the identity grouping
-//! (one class each) unless all four preconditions hold:
+//! (one class each) unless all four preconditions hold, and a point array
+//! keys by its line only under the fifth clause:
 //!
 //! * **Shape.** Every access in the block body is affine, with one
 //!   translation per array. No descendant loop bound references the block
@@ -84,6 +86,22 @@
 //!   DaCe/daisy `NPROMA` temporaries have `Δ = 0` while the fields move).
 //! * **No clamping.** The in-bounds check also rules out the trace's
 //!   `offset.max(0)` clamp, which is not a translation.
+//! * **Point arrays.** An array whose block-body accesses all share one
+//!   affine flat offset, with no term on a loop slot inside the block loop,
+//!   touches one address per trip. In a one-trip shard its key component
+//!   is `⌊(off_a + lo · Δ_a) / L⌋ mod (P / L)` instead, with `off_a` its
+//!   byte offset at trip 0 and `L` the line size: the line it touches, up
+//!   to the set period. Array bases are 4 KiB-aligned, so `L` divides them;
+//!   the simulator reads a stride-0 lane or a bare access only through its
+//!   line (`line_of`, `lane.line = base >> shift`), and no fast path looks
+//!   at the byte within that line. Shards whose point lines differ by a
+//!   multiple of `P / L` lines therefore see one line per set mapped to one
+//!   line of the same set and take identical branches, `probes` included.
+//!   The component is coarser than the phase, so it never splits a phase
+//!   class. A multi-trip shard walks several point lines whose spacing
+//!   depends on the byte within the line, so it keeps the phase. fdtd-2d's
+//!   `fict[t]` moves 8 B per time step: at Medium its 100 shards fall into
+//!   13 classes, one per line of `fict`.
 //!
 //! Only the run-compressed driver groups. [`simulate_cache_sharded_per_access`]
 //! simulates every shard and stays the differential oracle of the
@@ -101,10 +119,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use loop_ir::program::Program;
 
-use crate::cache::{congruence_period, CacheHierarchy, CacheStats};
+use crate::cache::{congruence_geometry, CacheHierarchy, CacheStats};
 use crate::config::MachineConfig;
 use crate::error::Result;
-use crate::exec::CompiledProgram;
+use crate::exec::{ArrayTranslation, CompiledProgram};
 use crate::trace::{AccessSink, CacheSink, PerAccessCacheSink, StrideRun, TraceEntry};
 
 /// Maximum shard count of the run-group fallback. Each fallback shard
@@ -263,36 +281,52 @@ fn partition(total: u64, shards: usize) -> Vec<(u64, u64)> {
 /// whose program fails a precondition, get the identity grouping: one
 /// class per shard.
 ///
-/// Block shard `[lo, hi)` (clamped to the trip count) is keyed by
-/// `(hi − lo, (lo · Δ_a) mod P for every array a)`, with `Δ_a` the
+/// Block shard `[lo, hi)` (clamped to the trip count) is keyed by its
+/// length and one residue per array: `(lo · Δ_a) mod P`, with `Δ_a` the
 /// lowering's per-trip byte translation
 /// (`CompiledProgram::block_translation`) and `P` the translation period
-/// ([`congruence_period`]).
+/// ([`congruence_geometry`]); for a point array in a one-trip shard,
+/// `⌊(off_a + lo · Δ_a) / L⌋ mod (P / L)` instead, with `off_a` its byte
+/// offset at trip 0 and `L` the line size.
 pub(crate) fn congruence_classes(
     compiled: &CompiledProgram,
     plan: &ShardPlan,
     machine: &MachineConfig,
 ) -> Vec<(usize, u64)> {
     let congruence = match (plan.granularity(), compiled.block_trips()) {
-        (ShardGranularity::Blocks, Some(trips)) => congruence_period(machine).and_then(|period| {
-            compiled
-                .block_translation()
-                .map(|deltas| (trips, deltas, period))
-        }),
+        (ShardGranularity::Blocks, Some(trips)) => {
+            congruence_geometry(machine).and_then(|geometry| {
+                compiled
+                    .block_translation()
+                    .map(|arrays| (trips, arrays, geometry))
+            })
+        }
         _ => None,
     };
-    let Some((trips, deltas, period)) = congruence else {
+    let Some((trips, arrays, (period, line))) = congruence else {
         return (0..plan.len()).map(|shard| (shard, 1)).collect();
     };
-    let phase = |lo: u64, delta: i64| {
-        (i128::from(lo) * i128::from(delta)).rem_euclid(i128::from(period)) as u64
+    let (period, line) = (i128::from(period), i128::from(line));
+    // A point array's one line per trip carries its whole footprint; a
+    // multi-trip shard walks several of its lines, whose spacing only the
+    // byte phase pins down.
+    let residue = |lo: u64, len: u64, array: &ArrayTranslation| {
+        let moved = i128::from(lo) * i128::from(array.delta);
+        let residue = match array.point {
+            Some(offset) if len == 1 => (i128::from(offset) + moved)
+                .div_euclid(line)
+                .rem_euclid(period / line),
+            _ => moved.rem_euclid(period),
+        };
+        residue as u64
     };
     let mut index: HashMap<(u64, Vec<u64>), usize> = HashMap::new();
     let mut classes: Vec<(usize, u64)> = Vec::new();
     for (shard, &(lo, hi)) in plan.shards().iter().enumerate() {
         let lo = lo.min(trips);
         let len = hi.min(trips).saturating_sub(lo);
-        match index.entry((len, deltas.iter().map(|&d| phase(lo, d)).collect())) {
+        let key = (len, arrays.iter().map(|a| residue(lo, len, a)).collect());
+        match index.entry(key) {
             Entry::Occupied(class) => classes[*class.get()].1 += 1,
             Entry::Vacant(slot) => {
                 slot.insert(classes.len());

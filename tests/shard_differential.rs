@@ -23,7 +23,9 @@
 //!   shards simulated on single-shard plans of their own (one shard is one
 //!   class, so nothing is grouped there). One named test per precondition
 //!   of the congruence proof builds a program that the key alone would
-//!   group wrongly, and checks that it keeps one class per shard.
+//!   group wrongly, and checks that it keeps one class per shard. Point
+//!   arrays (one address per trip) group by the line they touch; named
+//!   tests pin the class counts of that clause and its limits.
 //!
 //! A single all-covering shard must degenerate to exactly the monolithic
 //! [`machine::simulate_cache`], and zero-trip block loops to an empty plan
@@ -136,9 +138,11 @@ fn assert_grouping_is_exact(
 
 /// Asserts that a program failing one congruence precondition keeps the
 /// identity grouping — one class per block shard — and still simulates
-/// exactly. On the tiny machine (translation period 1 KiB) every program
-/// below translates each array by a multiple of the period, or not at
-/// all, so the grouping key alone would put all its shards in one class.
+/// exactly. On the tiny machine (translation period 1 KiB) the
+/// precondition programs below translate each array by a multiple of the
+/// period, or not at all, so the grouping key alone would put all their
+/// shards in one class; the off-period ones read an array that the
+/// point-array clause must not key by its line.
 fn assert_falls_back(label: &str, program: &Program) {
     let machine = MachineConfig::tiny_for_tests();
     let compiled = CompiledProgram::lower(program).unwrap();
@@ -334,14 +338,116 @@ fn inner_loops_rebinding_the_block_iterator_fall_back() {
 
 #[test]
 fn translations_off_the_period_keep_one_class_per_shard() {
-    // The fdtd-2d shape: F[t] moves 8 B per trip while A stays put, so no
-    // two of the 6 trips share a phase.
+    // F[t + i] moves 8 B per trip and spans two lines per trip, so it is no
+    // point array: its byte phase keys it, and no two of the 6 trips share
+    // one.
     let program = parse_program(
-        "program offperiod { param T = 6; param N = 16; array A[N]; array F[T];
-           for t in 0..T { for i in 0..N { A[i] = A[i] + F[t]; } } }",
+        "program offperiod { param T = 6; param N = 16; array A[N]; array F[T + N];
+           for t in 0..T { for i in 0..N { A[i] = A[i] + F[t + i]; } } }",
     )
     .unwrap();
     assert_falls_back("off-period translation", &program);
+}
+
+/// A time-step loop in the fdtd-2d shape: `A` stays put while each trip
+/// reads `F` at the point subscript `sub`, inside the inner loop.
+fn point_program(trips: i64, sub: &str, extent: &str) -> Program {
+    parse_program(&format!(
+        "program pointarray {{ param T = {trips}; param N = 16; array A[N]; array F[{extent}];
+           for t in 0..T {{ for i in 0..N {{ A[i] = A[i] + {sub}; }} }} }}"
+    ))
+    .unwrap()
+}
+
+/// Simulates `program`'s canonical block plan on `machine`, checks
+/// grouped ≡ ungrouped ≡ per-access and returns the class count.
+fn point_classes(label: &str, program: &Program, machine: &MachineConfig) -> usize {
+    let compiled = CompiledProgram::lower(program).unwrap();
+    let plan = ShardPlan::for_program(&compiled).unwrap();
+    assert_eq!(plan.granularity(), ShardGranularity::Blocks, "{label}");
+    let (stats, tally) = assert_grouping_is_exact(label, &compiled, &plan, machine);
+    assert_eq!(
+        tally.simulated_accesses,
+        stats.accesses() / plan.len() as u64 * tally.classes as u64,
+        "{label}: every shard streams the same access count"
+    );
+    tally.classes
+}
+
+#[test]
+fn point_arrays_group_by_the_line_they_touch() {
+    // The fdtd-2d shape: F[t] moves 8 B per trip, off the 1 KiB period,
+    // but each trip reads one scalar of it, so trips reading one line
+    // share a class. The tiny machine's 16 sets fold lines 16 apart into
+    // one class as well: 20 trips touch 3 lines, 300 trips 38 lines in 16
+    // set classes.
+    let machine = MachineConfig::tiny_for_tests();
+    for trips in [20i64, 300] {
+        let lines: std::collections::BTreeSet<i64> = (0..trips).map(|t| t * 8 / 64 % 16).collect();
+        let program = point_program(trips, "F[t]", "T");
+        let label = format!("F[t], {trips} trips");
+        assert_eq!(
+            point_classes(&label, &program, &machine),
+            lines.len(),
+            "{label}"
+        );
+    }
+}
+
+#[test]
+fn point_arrays_straddling_a_line_keep_two_classes() {
+    // F[2t + 4] reads bytes 32, 48, 64 and 80: two trips on each side of a
+    // line boundary.
+    let machine = MachineConfig::tiny_for_tests();
+    let program = point_program(4, "F[2 * t + 4]", "2 * T + 4");
+    assert_eq!(point_classes("straddling point", &program, &machine), 2);
+}
+
+#[test]
+fn two_point_subscripts_of_one_array_fall_back_to_the_phase_key() {
+    // F[t] and F[t + 1] are each one address per trip, but two of them:
+    // trip 7 reads bytes 56 and 64, two lines, while trip 0 reads one.
+    let program = point_program(8, "F[t] + F[t + 1]", "T + 1");
+    assert_falls_back("two point subscripts", &program);
+}
+
+#[test]
+fn inner_iterator_terms_are_no_point_array() {
+    // The one-trip inner loop reads one address of F per block trip, but
+    // through a term on the inner iterator: the clause is structural, so
+    // F keeps its byte phase.
+    let program = parse_program(
+        "program pointlooking { param T = 6; param N = 16; array A[N]; array F[T];
+           for t in 0..T { for i in 0..1 { A[i] = A[i] + F[t + i]; } } }",
+    )
+    .unwrap();
+    assert_falls_back("inner-iterator term", &program);
+}
+
+#[test]
+fn multi_trip_shards_key_point_arrays_by_byte_phase() {
+    // Shard [0, 2) reads F's first line twice; shard [7, 9) starts on the
+    // same line and crosses onto the next one. Only one-trip shards may
+    // key a point array by its line.
+    let machine = MachineConfig::tiny_for_tests();
+    let compiled = CompiledProgram::lower(&point_program(10, "F[t]", "T")).unwrap();
+    let plan = ShardPlan::blocks(vec![(0, 2), (7, 9)]);
+    let (_, tally) = assert_grouping_is_exact("two-trip point shards", &compiled, &plan, &machine);
+    assert_eq!(tally.classes, 2);
+}
+
+#[test]
+fn fdtd2d_b_time_steps_group_by_the_fict_line() {
+    // At Mini size the 4 time steps read fict[0..4], one line: one class on
+    // the paper machine, exact against every shard and the per-access
+    // oracle.
+    let machine = MachineConfig::xeon_e5_2680v3();
+    let fdtd = polybench::benchmark("fdtd-2d").unwrap();
+    let program = (fdtd.b)(polybench::Dataset::Mini);
+    let compiled = CompiledProgram::lower(&program).unwrap();
+    let plan = ShardPlan::for_program(&compiled).unwrap();
+    assert_eq!(plan.len(), 4);
+    assert_eq!(point_classes("fdtd-2d/B Mini", &program, &machine), 1);
 }
 
 #[test]
